@@ -43,7 +43,7 @@ class BMCStatistics:
     propagations: int = 0
     restarts: int = 0
     #: Wall seconds spent at each explored bound, indexed from ``min_bound``
-    #: — the per-bound cost curve a learned bound scheduler needs.
+    #: — the per-bound cost curve of the search.
     per_bound_seconds: List[float] = field(default_factory=list)
     #: SAT queries answered by a solver that was already warm (had clauses or
     #: learned facts from an earlier query) instead of a fresh instance.

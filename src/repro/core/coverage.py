@@ -56,12 +56,11 @@ class CoverageOptions:
     (complete BDD fixpoint — prefer it when the product state space is too
     wide for explicit enumeration), ``"portfolio"`` (alias ``"race"``:
     all three concurrently, first decisive verdict wins) or ``"auto"``
-    (alias ``"learned"``: a trained scheduler picks the engine per query —
-    see ``sched_model`` — racing only when unsure).  ``slicing``
-    controls the cone-of-influence reduction of the compiled problem IR
-    (:mod:`repro.problem`): every query is restricted to the fan-in of its
-    formulas' atoms (plus the observed ``APR`` signals); disable it only for
-    differential testing.  ``prop_backend``
+    (alias ``"learned"``: shallow bmc on small automata, then explicit).
+    ``slicing`` controls the cone-of-influence reduction of the compiled
+    problem IR (:mod:`repro.problem`): every query is restricted to the
+    fan-in of its formulas' atoms (plus the observed ``APR`` signals);
+    disable it only for differential testing.  ``prop_backend``
     selects the propositional decision backend (``"auto"``, ``"table"``,
     ``"bdd"``, ``"sat"``) installed for the duration of an analysis; the
     default ``None`` keeps the process-wide active backend (``auto`` unless
@@ -94,10 +93,6 @@ class CoverageOptions:
     slicing: object = "auto"
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    #: Path of a trained scheduler model (``specmatcher sched train``) for
-    #: the ``auto`` engine; ``None`` makes ``auto`` race without a model.
-    #: Other engines ignore it.
-    sched_model: Optional[str] = None
     #: Dynamic BDD variable reordering (greedy sifting) in the symbolic
     #: engine, triggered on node-table growth during the fixpoints.  Off by
     #: default: the interleaved current/next order is already good for most

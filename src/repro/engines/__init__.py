@@ -13,9 +13,9 @@ Every decision query of the pipeline funnels through one of two registries:
   (:mod:`repro.bmc`), the fully symbolic BDD fixpoint engine
   (:mod:`repro.mc.symbolic`), the racing portfolio
   (:mod:`repro.engines.portfolio`: all three concurrently with cooperative
-  cancellation, first decisive verdict wins), or the learned scheduler
-  (:mod:`repro.engines.auto`: a trained predictor picks the engine per
-  query, racing only when unsure) — behind one
+  cancellation, first decisive verdict wins), or the ``auto`` rule
+  (:mod:`repro.engines.auto`: shallow bmc on small automata, then
+  explicit) — behind one
   ``check_primary(problem)`` interface.  Every engine consumes the compiled
   problem IR (:mod:`repro.problem`), so each query is cone-of-influence
   sliced and its automata are compiled once.

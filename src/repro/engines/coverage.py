@@ -71,11 +71,8 @@ class EngineVerdict:
     #: The member engine that produced the verdict (portfolio/auto runs only).
     winner: Optional[str] = None
     #: Per-query feature record of the compiled problem (coi_size, registers,
-    #: automaton_states, bound, ...) — the learned-scheduler substrate.
+    #: automaton_states, bound, ...).
     features: Optional[Dict[str, object]] = None
-    #: Scheduler record (portfolio/auto runs only): race mode, predicted
-    #: ranking, confidence, and whether the prediction hit.
-    sched: Optional[Dict[str, object]] = None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.covered
@@ -117,8 +114,8 @@ class CoverageEngine:
         self.slicing = slicing
         #: The bound a bounded search would run to.  Complete engines never
         #: use it to decide, but it is part of every engine's *feature
-        #: record* (suite shard rows, cached payloads): the scheduler wants
-        #: the configured bound on every training row, never ``None``.
+        #: record* (suite shard rows, cached payloads), which always carries
+        #: the configured bound, never ``None``.
         self.max_bound = max_bound
 
     def compile(
@@ -197,8 +194,7 @@ class CoverageEngine:
         if payload is not None:
             return CachedRunResult.from_payload(payload)
         # Freshly decided queries are stored with their feature record and
-        # per-phase timing breakdown: the cache doubles as the training log
-        # the learned portfolio scheduler reads.
+        # per-phase timing breakdown.
         with PhaseAggregator() as phases:
             result = self._instrumented_run(problem)
         payload = encode_run_result(result)
@@ -274,7 +270,6 @@ class CoverageEngine:
             statistics=getattr(result, "statistics", None),
             winner=getattr(result, "winner", None),
             features=compiled.features(bound=self.max_bound),
-            sched=getattr(result, "sched", None),
         )
 
     def is_covered_with(
@@ -471,6 +466,5 @@ def engine_from_options(options) -> CoverageEngine:
         getattr(options, "engine", "explicit"),
         max_bound=getattr(options, "bmc_max_bound", 12),
         slicing=getattr(options, "slicing", "auto"),
-        model_path=getattr(options, "sched_model", None),
         bdd_reorder=getattr(options, "bdd_reorder", False),
     )

@@ -11,6 +11,7 @@ from repro.engines import (
     get_engine,
     using_cancel_token,
 )
+from repro.obs.trace import add_sink, remove_sink
 from repro.runner.cache import ResultCache, using_result_cache
 
 _BMC_BOUND = 6
@@ -185,18 +186,39 @@ class TestCaching:
         assert cache.stats.hits > before
 
 
-class TestSchedRecord:
+class _RaceModes:
+    """Trace sink collecting the ``mode`` of every ``portfolio_race`` span."""
+
+    def __init__(self):
+        self.modes = []
+
+    def record(self, record):
+        if record.name == "portfolio_race":
+            self.modes.append(record.attrs["mode"])
+
+    def __enter__(self):
+        add_sink(self)
+        return self.modes
+
+    def __exit__(self, *exc):
+        remove_sink(self)
+        return False
+
+
+class TestRaceMode:
     def test_race_records_mode(self):
-        verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
-            get_design("mal_fig2").builder()
-        )
-        assert verdict.sched == {"mode": "race"}
+        with _RaceModes() as modes:
+            get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
+                get_design("mal_fig2").builder()
+            )
+        assert modes == ["race"]
 
     def test_ladder_records_mode(self):
-        verdict = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False).check_primary(
-            get_design("mal_fig2").builder()
-        )
-        assert verdict.sched == {"mode": "ladder"}
+        with _RaceModes() as modes:
+            PortfolioEngine(max_bound=_BMC_BOUND, parallel=False).check_primary(
+                get_design("mal_fig2").builder()
+            )
+        assert modes == ["ladder"]
 
 
 class TestLadderWinner:
@@ -211,7 +233,6 @@ class TestLadderWinner:
                 entry.builder()
             )
             assert verdict.winner in ("explicit", "bmc", "symbolic"), design
-            assert verdict.sched == {"mode": "ladder"}, design
 
     def test_ladder_bounded_fallback_still_names_winner(self):
         from repro.ltl.ast import Not
@@ -226,7 +247,6 @@ class TestLadderWinner:
         )
         assert result.winner == "bmc"
         assert result.complete is False
-        assert result.sched == {"mode": "ladder"}
         assert result.outcomes["bmc"] == "won"
 
     def test_ladder_winner_survives_cache_replay(self):
@@ -237,7 +257,6 @@ class TestLadderWinner:
             second = engine.check_primary(problem)
         assert first.winner is not None
         assert second.winner == first.winner
-        assert second.sched == {"mode": "ladder"}
 
     def test_ladder_winner_in_suite_rows(self):
         from repro.runner import expand_jobs, run_suite
@@ -254,7 +273,6 @@ class TestLadderWinner:
         for shard in result.shards:
             row = shard.row()
             assert row["winner"] in ("explicit", "bmc", "symbolic")
-            assert row["sched"]["mode"] in ("race", "ladder")
 
     def test_thread_start_failure_falls_back_with_winner(self, monkeypatch):
         """Mid-start thread failures must stop started members, ladder, and
@@ -273,42 +291,12 @@ class TestLadderWinner:
 
         monkeypatch.setattr(threading.Thread, "start", flaky_start)
         entry = get_design("mal_fig2")
-        verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
-            entry.builder()
-        )
+        with _RaceModes() as modes:
+            verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
+                entry.builder()
+            )
         assert verdict.covered == entry.expected_covered
         assert verdict.winner in ("explicit", "bmc", "symbolic")
-        assert verdict.sched == {"mode": "ladder"}
+        assert modes == ["ladder"]
         assert calls["n"] >= 2
 
-
-class TestStagger:
-    def test_staggered_race_agrees_and_records_race_mode(self):
-        for design in _DESIGNS:
-            entry = get_design(design)
-            engine = PortfolioEngine(max_bound=_BMC_BOUND, stagger_seconds=0.02)
-            verdict = engine.check_primary(entry.builder())
-            assert verdict.covered == entry.expected_covered, design
-            assert verdict.sched == {"mode": "race"}, design
-            assert verdict.winner in ("explicit", "bmc", "symbolic")
-
-    def test_negative_stagger_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioEngine(stagger_seconds=-0.1)
-
-    def test_large_stagger_lets_first_member_win_alone(self):
-        # With a huge stagger, the first member decides before the second
-        # ever starts; the race must settle without waiting out the stagger.
-        import time
-
-        engine = PortfolioEngine(
-            max_bound=_BMC_BOUND,
-            members=("explicit", "symbolic"),
-            stagger_seconds=60.0,
-        )
-        start = time.perf_counter()
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        elapsed = time.perf_counter() - start
-        assert verdict.covered is True
-        assert verdict.winner == "explicit"
-        assert elapsed < 30.0  # decided the moment the favourite finished

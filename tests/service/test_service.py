@@ -124,6 +124,19 @@ def test_concurrent_submits_agree_with_direct_engines(client):
             assert payload["verdict"]["bound"] == direct.bound, key
 
 
+@pytest.mark.parametrize(
+    "design", ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
+)
+def test_served_auto_verdict_matches_explicit_and_is_complete(client, design):
+    payload = client.check(design, engine="auto")
+    direct = get_engine("explicit").check_primary(get_design(design).builder())
+    assert payload["engine"] == "auto"
+    assert payload["verdict"]["covered"] == direct.covered
+    assert payload["verdict"]["complete"] is True
+    assert payload["winner"] in ("bmc", "explicit")
+    assert "sched" not in payload
+
+
 def test_second_identical_check_hits_warm_cache(client):
     first = client.check("mal_table1", engine="explicit")
     second = client.check("mal_table1", engine="explicit")

@@ -90,6 +90,21 @@ def test_unknown_field_rejected():
     assert fields_of(excinfo) == ["desing"]
 
 
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("check", {"design": "mal_fig2"}),
+        ("analyze", {"design": "mal_fig2"}),
+        ("suite", {"designs": ["mal_fig2"]}),
+    ],
+)
+def test_bdd_reorder_is_not_a_request_field(kind, body):
+    """``check --json --bdd-reorder`` relies on this rejection."""
+    with pytest.raises(RequestValidationError) as excinfo:
+        validate_request(kind, {**body, "bdd_reorder": True})
+    assert fields_of(excinfo) == ["bdd_reorder"]
+
+
 def test_all_failures_collected_at_once():
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request(
