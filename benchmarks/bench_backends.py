@@ -2,7 +2,7 @@
 
 Theorem 1 reduces the coverage question to one model-checking query on the
 concrete modules.  The tool ships three coverage engines for that query — the
-explicit-state product/nested-DFS engine (:mod:`repro.mc`), the bounded
+explicit-state product-search engine (:mod:`repro.mc`), the bounded
 SAT-based engine (:mod:`repro.bmc`) and the fully symbolic BDD fixpoint
 engine (:mod:`repro.mc.symbolic`) — and three propositional decision
 backends (truth table / BDD / CDCL SAT) behind the :mod:`repro.engines`

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=engine_choices(),
             default="explicit",
             help=(
-                "primary-coverage engine: explicit-state nested DFS, bounded SAT, "
+                "primary-coverage engine: explicit-state product search, bounded SAT, "
                 "symbolic BDD fixpoint, portfolio (alias race: all three "
                 "concurrently, first decisive verdict wins), or auto (alias "
                 "learned: shallow bmc on small automata, then explicit)"

@@ -51,7 +51,7 @@ class CoverageOptions:
     """Tunables of the gap-finding pipeline.
 
     ``engine`` selects the primary-coverage engine from the
-    :mod:`repro.engines` registry: ``"explicit"`` (complete nested-DFS),
+    :mod:`repro.engines` registry: ``"explicit"`` (complete product search),
     ``"bmc"`` (bounded SAT up to ``bmc_max_bound``), ``"symbolic"``
     (complete BDD fixpoint — prefer it when the product state space is too
     wide for explicit enumeration), ``"portfolio"`` (alias ``"race"``:

@@ -9,7 +9,7 @@ Every decision query of the pipeline funnels through one of two registries:
   ``auto`` policy that picks by support size;
 * **coverage engines** (:mod:`repro.engines.coverage`) answer the paper's
   primary coverage question (Theorem 1) — via the explicit-state
-  product/nested-DFS engine (:mod:`repro.mc`), the bounded SAT engine
+  product-search engine (:mod:`repro.mc`), the bounded SAT engine
   (:mod:`repro.bmc`), the fully symbolic BDD fixpoint engine
   (:mod:`repro.mc.symbolic`), the racing portfolio
   (:mod:`repro.engines.portfolio`: all three concurrently with cooperative

@@ -4,7 +4,7 @@ Theorem 1 reduces the primary coverage question to one existential
 model-checking query — "is there a run of the concrete modules satisfying
 ``!A`` and every RTL property?".  The repository ships three ways to answer it:
 
-* the **explicit** engine — Kripke × Büchi product and nested DFS
+* the **explicit** engine — on-the-fly Kripke × Büchi product SCC search
   (:mod:`repro.mc.modelcheck`), complete on these finite designs;
 * the **bmc** engine — time-frame unrolling + Tseitin + CDCL
   (:mod:`repro.bmc.engine`), refutation-complete: a witness is definitive,
@@ -291,7 +291,7 @@ class CoverageEngine:
 
 
 class ExplicitEngine(CoverageEngine):
-    """Explicit-state product + nested-DFS engine (complete)."""
+    """Explicit-state on-the-fly product search engine (complete)."""
 
     name = "explicit"
     complete = True

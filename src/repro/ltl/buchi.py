@@ -5,32 +5,45 @@ generalized Büchi automaton* (GBA): each state carries a set of literals that
 must hold of the word position read when entering the state, and acceptance is
 a family of state sets each of which must be visited infinitely often.
 
-The same class is reused for products with Kripke structures (the model
-checker builds a product GBA whose labels are full signal valuations), so the
-emptiness check and accepting-lasso extraction implemented here are the single
-engine behind LTL satisfiability, validity, implication and model-checking
-queries.
+Products are never stored.  :func:`search_accepting_lasso` explores any
+implicitly given generalized Büchi graph on the fly and stops at the first
+accepting SCC; the model checker (Kripke structure x property automata,
+:mod:`repro.mc.product`), LTL satisfiability of conjunctions (a product of
+component automata, :mod:`repro.ltl.sat`) and
+:meth:`GeneralizedBuchi.accepting_lasso` all call it, so it is the single
+emptiness check behind every LTL and model-checking query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
-__all__ = ["Literal", "GeneralizedBuchi", "BuchiAutomaton", "AcceptingLasso"]
+__all__ = [
+    "Literal",
+    "GeneralizedBuchi",
+    "BuchiAutomaton",
+    "AcceptingLasso",
+    "LassoSearch",
+    "search_accepting_lasso",
+]
 
 # A literal is (atom name, polarity).
 Literal = Tuple[str, bool]
+# Automaton states are ints; product states are tuples of component states.
+State = Hashable
 
 
 @dataclass(frozen=True)
 class AcceptingLasso:
     """An accepting run presented as a stem and a loop of automaton states."""
 
-    stem: Tuple[int, ...]
-    loop: Tuple[int, ...]
+    stem: Tuple[State, ...]
+    loop: Tuple[State, ...]
 
-    def states(self) -> Tuple[int, ...]:
+    def states(self) -> Tuple[State, ...]:
         return self.stem + self.loop
 
 
@@ -96,20 +109,6 @@ class GeneralizedBuchi:
     def transition_count(self) -> int:
         return sum(len(targets) for targets in self.transitions.values())
 
-    def successors(self, state: int) -> FrozenSet[int]:
-        return frozenset(self.transitions.get(state, set()))
-
-    def reachable_states(self) -> Set[int]:
-        seen: Set[int] = set()
-        stack = list(self.initial)
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            stack.extend(self.transitions.get(state, set()))
-        return seen
-
     # -- emptiness ---------------------------------------------------------------
     def is_empty(self) -> bool:
         """True when the automaton accepts no word."""
@@ -118,146 +117,19 @@ class GeneralizedBuchi:
     def accepting_lasso(self) -> Optional[AcceptingLasso]:
         """Return an accepting lasso, or ``None`` when the language is empty.
 
-        An accepting run exists iff some reachable SCC (i) contains at least
-        one transition and (ii) intersects every acceptance set.  The lasso is
-        then assembled from a shortest path to the SCC and a cycle inside it
-        that touches one state of each acceptance set.
-
-        When the state space is densely numbered ``0 .. n-1`` — which every
-        product construction guarantees — the search runs on integer
-        bitmasks: reachability is a frontier ``|=`` sweep and the SCC
-        decomposition is forward-backward intersection over precomputed
-        successor/predecessor masks.  Sparsely numbered automata fall back to
-        the Tarjan path, which is also kept as the differential-testing
-        reference (:meth:`_accepting_lasso_tarjan`).  Both paths agree on
-        emptiness; when several fair SCCs exist they may pick different ones,
-        so the extracted lassos are each valid but not necessarily equal.
+        Runs :func:`search_accepting_lasso` over the stored transitions.
         """
-        count = len(self.labels)
-        if count and all(
-            isinstance(state, int) and 0 <= state < count for state in self.labels
-        ):
-            return self._accepting_lasso_bitset(count)
-        return self._accepting_lasso_tarjan()
-
-    def _accepting_lasso_tarjan(self) -> Optional[AcceptingLasso]:
-        """Tarjan-SCC emptiness check (reference path for differentials)."""
-        reachable = self.reachable_states()
-        if not reachable:
-            return None
-        sccs = _tarjan_sccs(reachable, self.transitions)
-        for component in sccs:
-            if not _is_nontrivial(component, self.transitions):
-                continue
-            if all(component & accept_set for accept_set in self.acceptance):
-                return self._build_lasso(component)
-        return None
-
-    def _accepting_lasso_bitset(self, count: int) -> Optional[AcceptingLasso]:
-        """Bitset emptiness: frontier-sweep reachability + forward-backward SCCs.
-
-        All state sets are Python integers used as bitmasks, so one ``|=`` or
-        ``&`` processes the whole set per machine word.  The decomposition
-        picks the lowest set bit of a region as pivot, making the enumeration
-        order deterministic (and independent of hash seeds).
-        """
-        successors = [0] * count
-        for state, targets in self.transitions.items():
-            mask = 0
-            for target in targets:
-                mask |= 1 << target
-            successors[state] = mask
-
-        reached = 0
-        for state in self.initial:
-            reached |= 1 << state
-        frontier = reached
-        while frontier:
-            step = 0
-            mask = frontier
-            while mask:
-                bit = mask & -mask
-                step |= successors[bit.bit_length() - 1]
-                mask ^= bit
-            frontier = step & ~reached
-            reached |= frontier
-        if not reached:
-            return None
-
-        # Restrict the graph to reachable states and build predecessor masks.
-        predecessors = [0] * count
-        mask = reached
-        while mask:
-            bit = mask & -mask
-            source = bit.bit_length() - 1
-            mask ^= bit
-            targets = successors[source] & reached
-            successors[source] = targets
-            while targets:
-                target_bit = targets & -targets
-                predecessors[target_bit.bit_length() - 1] |= bit
-                targets ^= target_bit
-
-        acceptance_masks = []
-        for accept_set in self.acceptance:
-            accept_mask = 0
+        masks: Dict[int, int] = {}
+        for position, accept_set in enumerate(self.acceptance):
             for state in accept_set:
-                if 0 <= state < count:
-                    accept_mask |= 1 << state
-            acceptance_masks.append(accept_mask)
-
-        regions = [reached]
-        while regions:
-            region = regions.pop()
-            if not region:
-                continue
-            pivot = region & -region
-            forward = pivot
-            frontier = pivot
-            while frontier:
-                step = 0
-                mask = frontier
-                while mask:
-                    bit = mask & -mask
-                    step |= successors[bit.bit_length() - 1]
-                    mask ^= bit
-                frontier = step & region & ~forward
-                forward |= frontier
-            backward = pivot
-            frontier = pivot
-            while frontier:
-                step = 0
-                mask = frontier
-                while mask:
-                    bit = mask & -mask
-                    step |= predecessors[bit.bit_length() - 1]
-                    mask ^= bit
-                frontier = step & region & ~backward
-                backward |= frontier
-            component_mask = forward & backward
-            nontrivial = component_mask & (component_mask - 1) != 0
-            if not nontrivial:
-                # Singleton SCC (the pivot): fair only with a self-loop.
-                nontrivial = bool(successors[pivot.bit_length() - 1] & component_mask)
-            if nontrivial and all(
-                component_mask & accept_mask for accept_mask in acceptance_masks
-            ):
-                component = set()
-                mask = component_mask
-                while mask:
-                    bit = mask & -mask
-                    component.add(bit.bit_length() - 1)
-                    mask ^= bit
-                return self._build_lasso(component)
-            regions.append(region & ~(forward | backward))
-            regions.append(forward & ~component_mask)
-            regions.append(backward & ~component_mask)
-        return None
-
-    def _build_lasso(self, component: Set[int]) -> AcceptingLasso:
-        entry, stem = _shortest_path_to(self.initial, component, self.transitions)
-        loop = _fair_cycle(entry, component, self.acceptance, self.transitions)
-        return AcceptingLasso(tuple(stem), tuple(loop))
+                masks[state] = masks.get(state, 0) | (1 << position)
+        transitions = self.transitions
+        return search_accepting_lasso(
+            sorted(self.initial),
+            lambda state: sorted(transitions.get(state, ())),
+            lambda state: masks.get(state, 0),
+            len(self.acceptance),
+        ).lasso
 
     # -- transformations --------------------------------------------------------------
     def degeneralize(self) -> "BuchiAutomaton":
@@ -389,97 +261,164 @@ class BuchiAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Graph utilities shared by the emptiness checks.
+# The emptiness search shared by model checking and LTL satisfiability.
 # ---------------------------------------------------------------------------
 
-def _tarjan_sccs(nodes: Set[int], transitions: Mapping[int, Set[int]]) -> List[Set[int]]:
-    """Iterative Tarjan strongly-connected-components restricted to ``nodes``."""
-    index_counter = [0]
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    result: List[Set[int]] = []
+_DEAD = -1
 
-    for root in nodes:
-        if root in index:
+
+@dataclass(frozen=True)
+class LassoSearch:
+    """Outcome of :func:`search_accepting_lasso`: the lasso and what was explored."""
+
+    lasso: Optional[AcceptingLasso]
+    states: int
+    transitions: int
+
+    def is_empty(self) -> bool:
+        return self.lasso is None
+
+    def state_count(self) -> int:
+        return self.states
+
+    def transition_count(self) -> int:
+        return self.transitions
+
+
+def search_accepting_lasso(
+    initial: Iterable[State],
+    successors: Callable[[State], Iterable[State]],
+    acceptance: Callable[[State], int],
+    set_count: int,
+) -> LassoSearch:
+    """On-the-fly generalized Büchi emptiness (Couvreur's SCC search).
+
+    The graph is given implicitly: ``initial`` states, a ``successors``
+    function and, per state, a bitmask of the ``set_count`` acceptance sets it
+    belongs to.  ``successors`` must list states in ascending order; the
+    search visits the successors that cover the most acceptance sets first,
+    ties kept in that order.  This order picks which lasso is returned, and
+    with it which witness runs Algorithm 1 sees.
+
+    One iterative depth-first search numbers states on first visit.  A root
+    stack holds one entry per tentative SCC with the union of its states'
+    acceptance masks; an edge back into a live state merges every root above
+    it.  The search stops as soon as a merged SCC covers every acceptance set
+    (with no sets, as soon as any cycle closes).  States are generated only
+    when the search reaches them, so a non-empty language is usually decided
+    after a small fraction of the reachable graph.
+
+    The lasso is built from explored states only: a BFS stem from the initial
+    states to the accepting SCC through states the search numbered, then a
+    cycle inside the SCC through one state of every acceptance set.
+    """
+    from ..engines.cancel import check_cancelled
+
+    initial = list(initial)
+    full = (1 << set_count) - 1
+
+    def ordered(states: Iterable[State]) -> List[Tuple[int, State]]:
+        """``(mask, state)`` pairs, last to visit first: frames ``pop()`` them,
+        so consumed successors are freed while the frame is still open."""
+        pairs = [(acceptance(state), state) for state in states]
+        pairs.reverse()
+        if full:
+            pairs.sort(key=lambda pair: pair[0].bit_count())
+        return pairs
+
+    number: Dict[State, int] = {}  # DFS number; _DEAD once its SCC is complete
+    live: List[State] = []  # states of the tentative SCCs, in DFS order
+    roots: List[List[int]] = []  # [DFS number, acceptance mask, position in live]
+    stack: List[Tuple[State, List[Tuple[int, State]]]] = []
+    transitions = 0
+
+    def push(state: State, mask: int) -> None:
+        number[state] = len(number)
+        roots.append([number[state], mask, len(live)])
+        live.append(state)
+        stack.append((state, ordered(successors(state))))
+
+    for mask, start in reversed(ordered(initial)):
+        if start in number:
             continue
-        work = [(root, iter(sorted(t for t in transitions.get(root, set()) if t in nodes)))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for target in iterator:
-                if target not in index:
-                    index[target] = lowlink[target] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append(
-                        (
-                            target,
-                            iter(sorted(t for t in transitions.get(target, set()) if t in nodes)),
-                        )
-                    )
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
+        push(start, mask)
+        while stack:
+            check_cancelled()
+            state, pending = stack[-1]
+            if not pending:
+                stack.pop()
+                root = roots[-1]
+                if root[0] == number[state]:
+                    roots.pop()
+                    for member in live[root[2]:]:
+                        number[member] = _DEAD
+                    del live[root[2]:]
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                result.append(component)
-    return result
+            transitions += 1
+            mask, target = pending.pop()
+            seen = number.get(target)
+            if seen is None:
+                push(target, mask)
+            elif seen != _DEAD:
+                merged = 0
+                while roots[-1][0] > seen:
+                    merged |= roots.pop()[1]
+                roots[-1][1] |= merged
+                if roots[-1][1] == full:
+                    component = set(live[roots[-1][2]:])
+                    lasso = _build_lasso(initial, component, number, successors, acceptance, set_count)
+                    return LassoSearch(lasso, len(number), transitions)
+    return LassoSearch(None, len(number), transitions)
 
 
-def _is_nontrivial(component: Set[int], transitions: Mapping[int, Set[int]]) -> bool:
-    """An SCC supports an infinite run iff it has an internal transition."""
-    if len(component) > 1:
-        return True
-    (state,) = tuple(component)
-    return state in transitions.get(state, set())
+def _build_lasso(
+    initial: Iterable[State],
+    component: Set[State],
+    explored: Mapping[State, int],
+    successors: Callable[[State], Iterable[State]],
+    acceptance: Callable[[State], int],
+    set_count: int,
+) -> AcceptingLasso:
+    edges: Dict[State, List[State]] = {}
+
+    def step(state: State) -> List[State]:
+        targets = edges.get(state)
+        if targets is None:
+            targets = edges[state] = [t for t in successors(state) if t in explored]
+        return targets
+
+    entry, stem = _shortest_path_to(initial, component, step)
+    loop = _fair_cycle(entry, component, acceptance, set_count, step)
+    return AcceptingLasso(tuple(stem), tuple(loop))
 
 
 def _shortest_path_to(
-    sources: Set[int], targets: Set[int], transitions: Mapping[int, Set[int]]
-) -> Tuple[int, List[int]]:
+    sources: Iterable[State], targets: Set[State], step: Callable[[State], List[State]]
+) -> Tuple[State, List[State]]:
     """BFS shortest path from any source to any target; returns (entry, stem).
 
     The stem excludes the entry state itself (the entry becomes the first loop
     state), matching how :class:`AcceptingLasso` is consumed downstream.
     """
-    parents: Dict[int, Optional[int]] = {}
-    queue: List[int] = []
-    for source in sorted(sources):
-        parents[source] = None
-        queue.append(source)
+    parents: Dict[State, Optional[State]] = {}
+    queue: List[State] = []
+    for source in sources:
+        if source not in parents:
+            parents[source] = None
+            queue.append(source)
     head = 0
     while head < len(queue):
         state = queue[head]
         head += 1
         if state in targets:
             path = []
-            current: Optional[int] = state
+            current: Optional[State] = state
             while current is not None:
                 path.append(current)
                 current = parents[current]
             path.reverse()
             return state, path[:-1]
-        for target in sorted(transitions.get(state, set())):
+        for target in step(state):
             if target not in parents:
                 parents[target] = state
                 queue.append(target)
@@ -487,28 +426,29 @@ def _shortest_path_to(
 
 
 def _fair_cycle(
-    entry: int,
-    component: Set[int],
-    acceptance: Sequence[FrozenSet[int]],
-    transitions: Mapping[int, Set[int]],
-) -> List[int]:
+    entry: State,
+    component: Set[State],
+    acceptance: Callable[[State], int],
+    set_count: int,
+    step: Callable[[State], List[State]],
+) -> List[State]:
     """Build a cycle inside ``component`` from ``entry`` hitting every acceptance set."""
-    waypoints: List[int] = []
-    for accept_set in acceptance:
-        candidates = accept_set & component
-        if candidates:
-            waypoints.append(sorted(candidates)[0])
-    cycle: List[int] = [entry]
+    ordered = sorted(component)
+    waypoints: List[State] = []
+    for position in range(set_count):
+        bit = 1 << position
+        waypoints.append(next(state for state in ordered if acceptance(state) & bit))
+    cycle: List[State] = [entry]
     current = entry
     for waypoint in waypoints:
         if waypoint == current:
             continue
-        segment = _path_within(current, waypoint, component, transitions)
+        segment = _path_within(current, waypoint, component, step)
         cycle.extend(segment[1:])
         current = waypoint
     # Close the loop back to the entry state.
     if current != entry or len(cycle) == 1:
-        segment = _path_within(current, entry, component, transitions, require_step=True)
+        segment = _path_within(current, entry, component, step, require_step=True)
         cycle.extend(segment[1:])
     # The final state equals the entry; drop it so the loop reads [entry ... last].
     if len(cycle) > 1 and cycle[-1] == entry:
@@ -517,12 +457,12 @@ def _fair_cycle(
 
 
 def _path_within(
-    source: int,
-    target: int,
-    component: Set[int],
-    transitions: Mapping[int, Set[int]],
+    source: State,
+    target: State,
+    component: Set[State],
+    step: Callable[[State], List[State]],
     require_step: bool = False,
-) -> List[int]:
+) -> List[State]:
     """BFS path from source to target staying inside the SCC.
 
     With ``require_step`` the path must contain at least one transition even
@@ -530,18 +470,18 @@ def _path_within(
     """
     if source == target and not require_step:
         return [source]
-    parents: Dict[int, Optional[int]] = {source: None}
+    parents: Dict[State, Optional[State]] = {source: None}
     queue = [source]
     head = 0
     while head < len(queue):
         state = queue[head]
         head += 1
-        for nxt in sorted(transitions.get(state, set())):
+        for nxt in step(state):
             if nxt not in component:
                 continue
             if nxt == target:
                 path = [nxt]
-                current: Optional[int] = state
+                current: Optional[State] = state
                 while current is not None:
                     path.append(current)
                     current = parents[current]

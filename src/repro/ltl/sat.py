@@ -13,15 +13,17 @@ closes the coverage hole (a model-relative check done in :mod:`repro.core`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs import span
 from .ast import And, Formula, Not, atoms_of
-from .buchi import AcceptingLasso, GeneralizedBuchi
+from .buchi import AcceptingLasso, GeneralizedBuchi, LassoSearch, search_accepting_lasso
 from .tableau import ltl_to_gba
 from .traces import LassoTrace
 
 __all__ = [
     "is_satisfiable",
+    "conjunction_search",
     "is_valid",
     "implies",
     "equivalent",
@@ -42,8 +44,8 @@ def is_satisfiable(formula: Formula) -> bool:
       complementary conjuncts — the shape produced by "is the hole weaker
       than A" style queries (``A ∧ ¬(A ∨ ...)``) — without building automata;
     * surviving conjunctions are translated compositionally (one automaton
-      per conjunct, intersected by product), far cheaper than a single
-      tableau over the whole conjunction.
+      per conjunct, intersected by :func:`conjunction_search`), far cheaper
+      than a single tableau over the whole conjunction.
     """
     from .rewrite import expanded_conjuncts, has_complementary_conjuncts
 
@@ -53,10 +55,68 @@ def is_satisfiable(formula: Formula) -> bool:
     if has_complementary_conjuncts(parts):
         return False
     if len(parts) > 1:
-        from .product import conjunction_to_gba
+        from .monitor import monitor_or_tableau
 
-        return not conjunction_to_gba(list(parts)).is_empty()
+        return not conjunction_search([monitor_or_tableau(part) for part in parts]).is_empty()
     return not ltl_to_gba(parts[0]).is_empty()
+
+
+def conjunction_search(automata: Sequence[GeneralizedBuchi]) -> LassoSearch:
+    """Emptiness of the intersection of state-labelled GBAs, searched on the fly.
+
+    A product state is a tuple of component states whose literal labels are
+    mutually consistent; the acceptance sets of every component are kept side
+    by side.  The product is handed to the shared search
+    (:func:`~repro.ltl.buchi.search_accepting_lasso`) and never stored.
+    """
+    automata = list(automata)
+    atoms: Dict[str, int] = {}
+    # Per component: state -> (mask of atoms required true, ... required false).
+    labels: List[Dict[int, Tuple[int, int]]] = []
+    accept: List[Dict[int, int]] = []
+    set_count = 0
+    for automaton in automata:
+        masks = {}
+        for state, label in automaton.labels.items():
+            need = [0, 0]
+            for name, value in label:
+                need[0 if value else 1] |= 1 << atoms.setdefault(name, len(atoms))
+            masks[state] = (need[0], need[1])
+        labels.append(masks)
+        bits = dict.fromkeys(automaton.labels, 0)
+        for index, accept_set in enumerate(automaton.acceptance):
+            for state in accept_set:
+                bits[state] = bits.get(state, 0) | (1 << (set_count + index))
+        accept.append(bits)
+        set_count += len(automaton.acceptance)
+
+    def consistent(choices: List[List[int]]) -> List[Tuple[int, ...]]:
+        """Label-consistent combinations of ``choices``, in ascending order."""
+        partial: List[Tuple[Tuple[int, ...], int, int]] = [((), 0, 0)]
+        for masks, options in zip(labels, choices):
+            extended = []
+            for prefix, need_true, need_false in partial:
+                for state in options:
+                    state_true, state_false = masks[state]
+                    both_true, both_false = need_true | state_true, need_false | state_false
+                    if not both_true & both_false:
+                        extended.append((prefix + (state,), both_true, both_false))
+            partial = extended
+        return [prefix for prefix, _, _ in partial]
+
+    def successors(state: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        return consistent(
+            [sorted(automaton.transitions.get(s, ())) for automaton, s in zip(automata, state)]
+        )
+
+    def acceptance(state: Tuple[int, ...]) -> int:
+        mask = 0
+        for bits, s in zip(accept, state):
+            mask |= bits[s]
+        return mask
+
+    initial = consistent([sorted(automaton.initial) for automaton in automata])
+    return search_accepting_lasso(initial, successors, acceptance, set_count)
 
 
 def is_valid(formula: Formula) -> bool:
@@ -66,7 +126,8 @@ def is_valid(formula: Formula) -> bool:
 
 def implies(antecedent: Formula, consequent: Formula) -> bool:
     """Semantic implication: every word satisfying ``antecedent`` satisfies ``consequent``."""
-    return not is_satisfiable(And(antecedent, Not(consequent)))
+    with span("ltl_implies"):
+        return not is_satisfiable(And(antecedent, Not(consequent)))
 
 
 def equivalent(left: Formula, right: Formula) -> bool:

@@ -34,6 +34,7 @@ from .ast import (
     TrueFormula,
     Until,
 )
+from ..obs import span
 from .buchi import GeneralizedBuchi, Literal
 from .rewrite import nnf, simplify
 
@@ -205,7 +206,9 @@ def ltl_to_gba(formula: Formula, *, pre_simplify: bool = True) -> GeneralizedBuc
     The automaton accepts exactly the infinite words (over total assignments of
     the formula's atoms) that satisfy the formula.
     """
-    automaton, _ = ltl_to_gba_with_stats(formula, pre_simplify=pre_simplify)
+    with span("ltl_to_gba") as sp:
+        automaton, _ = ltl_to_gba_with_stats(formula, pre_simplify=pre_simplify)
+        sp.set(states=automaton.state_count())
     return automaton
 
 

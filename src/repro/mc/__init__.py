@@ -1,6 +1,6 @@
 """LTL model checking on concrete RTL modules.
 
-Two engines live here: the explicit-state product/nested-DFS checker
+Two engines live here: the explicit-state on-the-fly product checker
 (:mod:`repro.mc.modelcheck`) and the fully symbolic BDD fixpoint checker
 (:mod:`repro.mc.symbolic`).  Both answer the same existential query shape
 behind result objects that downstream code treats interchangeably.

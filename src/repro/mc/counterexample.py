@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..ltl.buchi import AcceptingLasso, GeneralizedBuchi
+from ..ltl.buchi import AcceptingLasso
 from ..ltl.traces import LassoTrace
 from ..rtl.kripke import KripkeStructure
 from ..rtl.simulator import SimulationTrace
@@ -12,29 +12,14 @@ from ..rtl.simulator import SimulationTrace
 __all__ = ["lasso_to_signal_trace", "trace_to_simulation"]
 
 
-def lasso_to_signal_trace(
-    product: GeneralizedBuchi,
-    lasso: AcceptingLasso,
-    kripke: KripkeStructure,
-) -> LassoTrace:
+def lasso_to_signal_trace(lasso: AcceptingLasso, kripke: KripkeStructure) -> LassoTrace:
     """Convert an accepting lasso of the product into a signal-level lasso.
 
-    Each product state is annotated with its ``(kripke_state, ...)`` tuple, so
+    Each product state is a ``(kripke_state, component states...)`` tuple, so
     the counterexample is simply the sequence of Kripke labels along the run.
     """
-
-    def valuation_of(product_state: int) -> Dict[str, bool]:
-        annotation = product.annotations.get(product_state)
-        if isinstance(annotation, tuple) and annotation:
-            kripke_state = annotation[0]
-            return dict(kripke.label(kripke_state))
-        # Fall back to the product label itself.
-        return {name: value for name, value in product.labels.get(product_state, frozenset())}
-
-    stem = [valuation_of(state) for state in lasso.stem]
-    loop = [valuation_of(state) for state in lasso.loop]
-    if not loop:
-        loop = [dict(stem[-1])] if stem else [{}]
+    stem = [dict(kripke.label(state[0])) for state in lasso.stem]
+    loop = [dict(kripke.label(state[0])) for state in lasso.loop]
     return LassoTrace(stem, loop)
 
 

@@ -10,7 +10,7 @@ Two query styles are offered, matching how the paper uses model checking:
   (under optional assumptions) satisfy the property?"  Used to validate
   designs in the test-suite and by the gap-closure verification.
 
-Both reduce to emptiness of the product built by
+Both reduce to emptiness of the product searched on the fly by
 :mod:`repro.mc.product`; counterexamples / witnesses are returned as
 signal-level :class:`~repro.ltl.traces.LassoTrace` objects.
 """
@@ -118,10 +118,8 @@ def find_run(
         kripke = build_kripke(model, formulas, extra_free)
         automata = list(automata) if automata is not None else compile_formulas(formulas)
     statistics = ProductStatistics()
-    with span("explicit_product"):
-        product = kripke_automata_product(kripke, automata, statistics=statistics)
-    with span("explicit_emptiness") as sp:
-        lasso = product.accepting_lasso()
+    with span("explicit_product") as sp:
+        lasso = kripke_automata_product(kripke, automata, statistics=statistics).lasso
         sp.set(
             product_states=statistics.product_states,
             product_transitions=statistics.product_transitions,
@@ -135,7 +133,7 @@ def find_run(
     if lasso is None:
         return ExistentialResult(False, None, statistics, elapsed)
     with span("explicit_witness"):
-        witness = lasso_to_signal_trace(product, lasso, kripke)
+        witness = lasso_to_signal_trace(lasso, kripke)
     return ExistentialResult(True, witness, statistics, elapsed)
 
 
@@ -152,10 +150,9 @@ def check(
     kripke = build_kripke(model, list(formulas) + [property_formula], extra_free)
     automata = compile_formulas(formulas)
     statistics = ProductStatistics()
-    product = kripke_automata_product(kripke, automata, statistics=statistics)
-    lasso = product.accepting_lasso()
+    lasso = kripke_automata_product(kripke, automata, statistics=statistics).lasso
     elapsed = time.perf_counter() - start
     if lasso is None:
         return ModelCheckResult(True, None, statistics, elapsed)
-    counterexample = lasso_to_signal_trace(product, lasso, kripke)
+    counterexample = lasso_to_signal_trace(lasso, kripke)
     return ModelCheckResult(False, counterexample, statistics, elapsed)

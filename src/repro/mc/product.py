@@ -1,40 +1,37 @@
-"""Product of a Kripke structure with property automata.
+"""Product of a Kripke structure with property automata, searched on the fly.
 
 The model-relative questions of the paper all have the shape "does the model
 ``M`` (the concrete modules, with every undriven signal free) have a run
 satisfying the temporal formulas ``phi_1, ..., phi_n``?".  They are answered
-by building the synchronous product of
+on the synchronous product of
 
 * the Kripke structure of the concrete modules (every signal valued in each
   state), and
 * one state-labelled Büchi automaton per formula (deterministic safety
-  monitors for the common ``G``-invariant shape, GPVW tableaux otherwise),
+  monitors for the common ``G``-invariant shape, GPVW tableaux otherwise).
 
-and checking language emptiness of the product (shared SCC engine in
-:mod:`repro.ltl.buchi`).
+The product is never stored: :func:`kripke_automata_product` hands its
+successor function to the shared emptiness search
+(:func:`repro.ltl.buchi.search_accepting_lasso`), which generates product
+states only as it reaches them and stops at the first accepting SCC.  A
+product state is the tuple ``(kripke_state, component states...)``, so a
+lasso maps back to signal waveforms through its Kripke states.
 
 Because the Kripke state fixes the value of *every* signal, each automaton's
 compatible successors are filtered against that valuation before combining,
 so deterministic monitor components contribute exactly one successor and the
 product does not suffer the exponential branching a conjunction tableau would.
-
-The hot loops operate on integer bitmasks: each automaton's states are packed
-into dense bit positions, successor sets and label-compatibility sets become
-precomputed masks, and the per-edge filter is one ``&`` instead of a list
-comprehension re-checking literals.  Compatibility masks are memoised per
-(automaton, Kripke state) — the same Kripke target is reached through many
-product states, and its valuation never changes.  ``bitset=False`` selects
-the legacy dict/list inner loops, kept as the differential-testing reference;
-both construct the *identical* product (same state numbering, transitions,
-labels and acceptance), so every downstream consumer is byte-compatible.
+The filter runs on integer bitmasks: successor sets and label-compatibility
+sets are precomputed masks over each automaton's states, and compatibility
+masks are memoised per (automaton, Kripke state).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..ltl.buchi import GeneralizedBuchi, Literal
+from ..ltl.buchi import GeneralizedBuchi, LassoSearch, search_accepting_lasso
 from ..rtl.kripke import KripkeStructure
 
 __all__ = ["ProductStatistics", "kripke_automata_product"]
@@ -42,7 +39,11 @@ __all__ = ["ProductStatistics", "kripke_automata_product"]
 
 @dataclass
 class ProductStatistics:
-    """Size statistics of a product construction (reported in benchmarks)."""
+    """Size statistics of a product search (reported in benchmarks).
+
+    ``product_states``/``product_transitions`` count what the search
+    explored, not the full reachable product.
+    """
 
     kripke_states: int = 0
     automata: int = 0
@@ -51,47 +52,42 @@ class ProductStatistics:
     product_transitions: int = 0
 
 
-def _compatible(label: FrozenSet[Literal], valuation: Mapping[str, bool]) -> bool:
-    """True when the automaton label agrees with a full signal valuation."""
-    for name, value in label:
-        if bool(valuation.get(name, False)) != value:
-            return False
-    return True
-
-
 class _ComponentBits:
     """Bitmask view of one property automaton.
 
     States are packed into bit positions in ascending state-id order, so
     iterating the set bits of any mask from least to most significant visits
-    states in the same ascending order the legacy list-based loops used —
-    which is what keeps the two construction paths state-for-state identical.
+    states in ascending order.  ``accept`` maps a state to its acceptance
+    bits in the product, shifted past the sets of earlier components.
     """
 
-    __slots__ = ("states", "position", "succ", "initial_mask", "atom_masks", "full", "_compat")
+    __slots__ = ("states", "succ", "initial_mask", "atom_masks", "full", "accept", "_compat")
 
-    def __init__(self, automaton: GeneralizedBuchi):
+    def __init__(self, automaton: GeneralizedBuchi, offset: int):
         self.states: List[int] = sorted(automaton.labels)
-        self.position: Dict[int, int] = {
-            state: position for position, state in enumerate(self.states)
-        }
+        position = {state: index for index, state in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
-        self.succ: List[int] = [0] * len(self.states)
-        for state, targets in automaton.transitions.items():
+        self.succ: Dict[int, int] = {}
+        for state in self.states:
             mask = 0
-            for target in targets:
-                mask |= 1 << self.position[target]
-            self.succ[self.position[state]] = mask
+            for target in automaton.transitions.get(state, ()):
+                mask |= 1 << position[target]
+            self.succ[state] = mask
         self.initial_mask = 0
         for state in automaton.initial:
-            self.initial_mask |= 1 << self.position[state]
+            self.initial_mask |= 1 << position[state]
         # atom name -> (mask of states requiring it true, ... requiring false)
         self.atom_masks: Dict[str, List[int]] = {}
         for state, label in automaton.labels.items():
-            bit = 1 << self.position[state]
+            bit = 1 << position[state]
             for name, value in label:
                 pair = self.atom_masks.setdefault(name, [0, 0])
                 pair[0 if value else 1] |= bit
+        self.accept: Dict[int, int] = dict.fromkeys(self.states, 0)
+        for index, accept_set in enumerate(automaton.acceptance):
+            for state in accept_set:
+                if state in self.accept:
+                    self.accept[state] |= 1 << (offset + index)
         self._compat: Dict[int, int] = {}
 
     def compatible_mask(self, kripke_state: int, valuation: Mapping[str, bool]) -> int:
@@ -122,181 +118,63 @@ def kripke_automata_product(
     automata: Sequence[GeneralizedBuchi],
     *,
     statistics: Optional[ProductStatistics] = None,
-    bitset: bool = True,
-) -> GeneralizedBuchi:
-    """Synchronous product of a Kripke structure and property automata.
+) -> LassoSearch:
+    """Search the product of a Kripke structure and property automata.
 
-    The result is a :class:`~repro.ltl.buchi.GeneralizedBuchi` whose runs are
-    exactly the runs of the Kripke structure jointly accepted by every
-    automaton.  Product states are annotated with ``(kripke_state, component
-    states...)`` so counterexample lassos can be mapped back to signal
-    waveforms.
+    Returns the shared search's :class:`~repro.ltl.buchi.LassoSearch`: an
+    accepting lasso of ``(kripke_state, component states...)`` tuples when
+    some run of the Kripke structure is jointly accepted by every automaton,
+    else ``None``, plus the explored state and transition counts.
     """
     automata = list(automata)
-    product = GeneralizedBuchi()
-    index: Dict[Tuple[int, ...], int] = {}
+    components: List[_ComponentBits] = []
+    set_count = 0
+    for automaton in automata:
+        components.append(_ComponentBits(automaton, set_count))
+        set_count += len(automaton.acceptance)
+    kripke_successors: Dict[int, List[int]] = {}
 
+    def combos(kripke_state: int, masks: Iterable[int]) -> List[Tuple[int, ...]]:
+        """Product states over ``kripke_state`` whose components lie in ``masks``."""
+        valuation = kripke.label(kripke_state)
+        choices = []
+        for component, mask in zip(components, masks):
+            mask &= component.compatible_mask(kripke_state, valuation)
+            if not mask:
+                return []
+            choices.append(component.bits_to_states(mask))
+        return [(kripke_state,) + rest for rest in _cartesian(choices)]
+
+    def initial() -> List[Tuple[int, ...]]:
+        states: List[Tuple[int, ...]] = []
+        for kripke_state in sorted(kripke.initial):
+            states.extend(combos(kripke_state, [c.initial_mask for c in components]))
+        return states
+
+    def successors(state: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        targets = kripke_successors.get(state[0])
+        if targets is None:
+            targets = kripke_successors[state[0]] = sorted(kripke.successors(state[0]))
+        masks = [c.succ[s] for c, s in zip(components, state[1:])]
+        result: List[Tuple[int, ...]] = []
+        for target in targets:
+            result.extend(combos(target, masks))
+        return result
+
+    def acceptance(state: Tuple[int, ...]) -> int:
+        mask = 0
+        for component, s in zip(components, state[1:]):
+            mask |= component.accept[s]
+        return mask
+
+    search = search_accepting_lasso(initial(), successors, acceptance, set_count)
     if statistics is not None:
         statistics.kripke_states = kripke.state_count()
         statistics.automata = len(automata)
         statistics.automata_states = sum(a.state_count() for a in automata)
-
-    def get_state(combo: Tuple[int, ...], initial: bool = False) -> int:
-        ident = index.get(combo)
-        if ident is None:
-            ident = len(index)
-            index[combo] = ident
-            valuation = kripke.label(combo[0])
-            label = frozenset((name, bool(value)) for name, value in valuation.items())
-            product.add_state(ident, label, initial=initial, annotation=combo)
-        elif initial:
-            product.initial.add(ident)
-        return ident
-
-    if bitset:
-        _explore_bitset(kripke, automata, product, get_state)
-    else:
-        _explore_dict(kripke, automata, product, get_state)
-
-    # Lift acceptance sets of every automaton to the product.
-    for component, automaton in enumerate(automata):
-        for accept_set in automaton.acceptance:
-            lifted = frozenset(
-                ident for combo, ident in index.items() if combo[component + 1] in accept_set
-            )
-            product.acceptance.append(lifted)
-
-    if statistics is not None:
-        statistics.product_states = product.state_count()
-        statistics.product_transitions = product.transition_count()
-    return product
-
-
-def _explore_bitset(
-    kripke: KripkeStructure,
-    automata: List[GeneralizedBuchi],
-    product: GeneralizedBuchi,
-    get_state,
-) -> None:
-    """Bitmask worklist exploration (the default fast path)."""
-    from ..engines.cancel import check_cancelled
-
-    components = [_ComponentBits(automaton) for automaton in automata]
-    count = len(components)
-    successor_lists: Dict[int, List[int]] = {}
-
-    worklist: List[Tuple[int, ...]] = []
-    seen: Set[Tuple[int, ...]] = set()
-    for kripke_state in sorted(kripke.initial):
-        valuation = kripke.label(kripke_state)
-        masks = []
-        for component in components:
-            mask = component.initial_mask & component.compatible_mask(
-                kripke_state, valuation
-            )
-            if not mask:
-                break
-            masks.append(mask)
-        if len(masks) < count:
-            continue
-        choices = [
-            component.bits_to_states(mask) for component, mask in zip(components, masks)
-        ]
-        for combo_rest in _cartesian(choices):
-            combo = (kripke_state,) + combo_rest
-            get_state(combo, initial=True)
-            if combo not in seen:
-                seen.add(combo)
-                worklist.append(combo)
-
-    while worklist:
-        check_cancelled()
-        combo = worklist.pop()
-        source = get_state(combo)
-        kripke_state = combo[0]
-        targets = successor_lists.get(kripke_state)
-        if targets is None:
-            targets = sorted(kripke.successors(kripke_state))
-            successor_lists[kripke_state] = targets
-        for kripke_target in targets:
-            valuation = kripke.label(kripke_target)
-            masks = []
-            for position in range(count):
-                component = components[position]
-                mask = component.succ[
-                    component.position[combo[position + 1]]
-                ] & component.compatible_mask(kripke_target, valuation)
-                if not mask:
-                    break
-                masks.append(mask)
-            if len(masks) < count:
-                continue
-            choices = [
-                component.bits_to_states(mask)
-                for component, mask in zip(components, masks)
-            ]
-            for combo_rest in _cartesian(choices):
-                target_combo = (kripke_target,) + combo_rest
-                target = get_state(target_combo)
-                product.add_transition(source, target)
-                if target_combo not in seen:
-                    seen.add(target_combo)
-                    worklist.append(target_combo)
-
-
-def _explore_dict(
-    kripke: KripkeStructure,
-    automata: List[GeneralizedBuchi],
-    product: GeneralizedBuchi,
-    get_state,
-) -> None:
-    """Legacy dict/list worklist exploration (differential reference)."""
-    from ..engines.cancel import check_cancelled
-
-    def compatible_states(automaton: GeneralizedBuchi, candidates: Iterable[int],
-                          valuation: Mapping[str, bool]) -> List[int]:
-        return [state for state in candidates
-                if _compatible(automaton.labels[state], valuation)]
-
-    worklist: List[Tuple[int, ...]] = []
-    seen: Set[Tuple[int, ...]] = set()
-    for kripke_state in sorted(kripke.initial):
-        valuation = kripke.label(kripke_state)
-        per_component = [
-            compatible_states(automaton, sorted(automaton.initial), valuation)
-            for automaton in automata
-        ]
-        if any(not choices for choices in per_component):
-            continue
-        for combo_rest in _cartesian(per_component):
-            combo = (kripke_state,) + combo_rest
-            get_state(combo, initial=True)
-            if combo not in seen:
-                seen.add(combo)
-                worklist.append(combo)
-
-    while worklist:
-        check_cancelled()
-        combo = worklist.pop()
-        source = get_state(combo)
-        kripke_state = combo[0]
-        for kripke_target in sorted(kripke.successors(kripke_state)):
-            valuation = kripke.label(kripke_target)
-            per_component = [
-                compatible_states(
-                    automata[i], sorted(automata[i].transitions.get(combo[i + 1], set())), valuation
-                )
-                for i in range(len(automata))
-            ]
-            if any(not choices for choices in per_component):
-                continue
-            for combo_rest in _cartesian(per_component):
-                target_combo = (kripke_target,) + combo_rest
-                target = get_state(target_combo)
-                product.add_transition(source, target)
-                if target_combo not in seen:
-                    seen.add(target_combo)
-                    worklist.append(target_combo)
+        statistics.product_states = search.states
+        statistics.product_transitions = search.transitions
+    return search
 
 
 def _cartesian(choices: Sequence[Sequence[int]]) -> Iterable[Tuple[int, ...]]:

@@ -4,7 +4,7 @@ This is the third way the repository answers the paper's existential query
 "is there a run of the concrete modules satisfying every formula?":
 
 * the **explicit** engine (:mod:`repro.mc.modelcheck`) enumerates the Kripke
-  structure and runs nested DFS on the product;
+  structure and searches the product on the fly;
 * the **bmc** engine (:mod:`repro.bmc.engine`) unrolls time frames into SAT;
 * this module never enumerates states at all — the Kripke structure, the
   property automata and their product live as characteristic functions inside

@@ -65,6 +65,7 @@ from ..ltl.ast import (
 from ..ltl.traces import LassoTrace
 
 __all__ = [
+    "CACHE_FORMAT",
     "expr_fingerprint",
     "formula_fingerprint",
     "module_fingerprint",
@@ -207,6 +208,15 @@ def module_fingerprint(module) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+#: Version of the stored payloads, part of every :func:`query_key`.  Bump it
+#: whenever a query's answer can change for the same key -- for instance when
+#: the search order changes which witness lasso an engine returns -- so a
+#: warm cache never replays witnesses a cold run would not produce.
+#: 2: witnesses from the on-the-fly product search (keys before had no
+#: format field).
+CACHE_FORMAT = 2
+
+
 def query_key(
     kind: str,
     module,
@@ -222,8 +232,11 @@ def query_key(
     ``kind`` namespaces the query shape (engine-level run search, raw BMC
     search, ...); ``engine``/``backend``/``bound`` make keys precise about the
     decision procedure, so a bounded verdict can never shadow a complete one.
+    :data:`CACHE_FORMAT` leads every key, so entries stored before a change
+    of witnesses are misses.
     """
     parts = [
+        f"format={CACHE_FORMAT}",
         f"kind={kind}",
         f"engine={engine}",
         f"backend={backend}",

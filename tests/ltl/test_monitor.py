@@ -4,7 +4,7 @@ import pytest
 
 from repro.ltl import parse
 from repro.ltl.monitor import is_monitorable, monitor_or_tableau, safety_monitor_gba
-from repro.ltl.product import gba_product
+from repro.ltl.sat import conjunction_search
 from repro.ltl.tableau import ltl_to_gba
 
 
@@ -89,7 +89,7 @@ class TestMonitorSemantics:
         negation_automaton = ltl_to_gba(parse(f"!({text})"))
         # Intersection of the monitor with the negation must be empty: the
         # monitor accepts only words satisfying the formula.
-        assert gba_product([monitor, negation_automaton]).is_empty()
+        assert conjunction_search([monitor, negation_automaton]).is_empty()
 
     def test_initial_constraint_monitor(self):
         monitor = safety_monitor_gba(parse("!n1 & !n2"))

@@ -1,25 +1,33 @@
-"""Tests for automata products and the co-safety monitors."""
+"""Tests for the lazy automata product and the co-safety monitors."""
 
 import pytest
+from oracles import emptiness
+from oracles.product import check_lasso, gba_product, labels_consistent
 
 from repro.ltl import evaluate, is_satisfiable, lasso_to_trace, ltl_to_gba, parse
 from repro.ltl.ast import atoms_of
 from repro.ltl.monitor import cosafety_monitor_gba, monitor_or_tableau
-from repro.ltl.product import conjunction_to_gba, gba_product, join_labels, labels_consistent
+from repro.ltl.sat import conjunction_search
 
 
-class TestLabelHelpers:
+def _agrees_with_oracle(automata):
+    """The lazy product's verdict equals the oracle's; its lasso replays there."""
+    search = conjunction_search(automata)
+    oracle = gba_product(automata)
+    assert search.is_empty() == emptiness.is_empty(oracle)
+    if search.lasso is not None:
+        check_lasso(oracle, search.lasso)
+    return search
+
+
+class TestOracleLabels:
     def test_labels_consistent(self):
         assert labels_consistent([frozenset({("a", True)}), frozenset({("b", False)})])
         assert not labels_consistent([frozenset({("a", True)}), frozenset({("a", False)})])
         assert labels_consistent([])
 
-    def test_join_labels(self):
-        joined = join_labels([frozenset({("a", True)}), frozenset({("b", False)})])
-        assert joined == frozenset({("a", True), ("b", False)})
 
-
-class TestGBAProduct:
+class TestConjunctionSearch:
     @pytest.mark.parametrize(
         "left,right,expected_sat",
         [
@@ -31,28 +39,40 @@ class TestGBAProduct:
         ],
     )
     def test_product_language_is_intersection(self, left, right, expected_sat):
-        product = gba_product([ltl_to_gba(parse(left)), ltl_to_gba(parse(right))])
-        assert (not product.is_empty()) == expected_sat
+        search = _agrees_with_oracle([ltl_to_gba(parse(left)), ltl_to_gba(parse(right))])
+        assert (not search.is_empty()) == expected_sat
         assert expected_sat == is_satisfiable(parse(f"({left}) & ({right})"))
 
     def test_empty_product_accepts_everything(self):
-        product = gba_product([])
-        assert not product.is_empty()
+        search = _agrees_with_oracle([])
+        assert search.lasso.loop == ((),)
 
-    def test_single_component_returned_unchanged(self):
+    def test_single_component(self):
         automaton = ltl_to_gba(parse("G p"))
-        assert gba_product([automaton]) is automaton
+        search = _agrees_with_oracle([automaton])
+        assert search.is_empty() == automaton.is_empty()
 
-    def test_conjunction_to_gba_witness(self):
+    def test_monitor_components_witness(self):
         formulas = [parse("G(a -> X b)"), parse("F a"), parse("G F !b")]
-        product = conjunction_to_gba(formulas)
-        assert not product.is_empty()
+        search = _agrees_with_oracle([monitor_or_tableau(f) for f in formulas])
+        assert not search.is_empty()
 
-    def test_product_acceptance_lifting(self):
-        # Both liveness obligations must be honoured in the product.
-        product = gba_product([ltl_to_gba(parse("G F p")), ltl_to_gba(parse("G F q"))])
-        assert len(product.acceptance) >= 2
-        assert not product.is_empty()
+    def test_every_component_acceptance_is_honoured(self):
+        # Both liveness obligations must be met on the loop.
+        automata = [ltl_to_gba(parse("G F p")), ltl_to_gba(parse("G F q"))]
+        search = _agrees_with_oracle(automata)
+        assert not search.is_empty()
+        loop_labels = [
+            automata[0].labels[a] | automata[1].labels[b] for a, b in search.lasso.loop
+        ]
+        assert any(("p", True) in label for label in loop_labels)
+        assert any(("q", True) in label for label in loop_labels)
+
+    def test_explored_counts(self):
+        search = conjunction_search([ltl_to_gba(parse("G p")), ltl_to_gba(parse("F !p"))])
+        assert search.is_empty()
+        assert search.state_count() >= 1
+        assert search.transition_count() >= search.state_count() - 1
 
 
 class TestCosafetyMonitor:
@@ -69,7 +89,7 @@ class TestCosafetyMonitor:
         assert not automaton.is_empty()
         # ... and the intersection with the invariant's own monitor is empty.
         invariant = monitor_or_tableau(parse("G(r1 -> X n1)"))
-        assert gba_product([automaton, invariant]).is_empty()
+        assert _agrees_with_oracle([automaton, invariant]).is_empty()
 
     @pytest.mark.parametrize(
         "invariant",

@@ -8,10 +8,13 @@ For random formulas:
   negation (exactly one of ``phi``, ``!phi`` can be unsatisfiable unless both
   are satisfiable);
 * the deterministic safety monitors must agree with the tableau on the
-  monitorable fragment.
+  monitorable fragment;
+* the on-the-fly emptiness search must agree with the Tarjan oracle, and its
+  lasso must be an accepting run of the automaton.
 """
 
 from hypothesis import given, settings, strategies as st
+from oracles.emptiness import is_empty as tarjan_is_empty
 
 from repro.ltl import (
     Atom,
@@ -26,7 +29,7 @@ from repro.ltl import (
 )
 from repro.ltl.ast import And, Always, Eventually, Next, Or, Until, atoms_of
 from repro.ltl.monitor import is_monitorable, safety_monitor_gba
-from repro.ltl.product import gba_product
+from repro.ltl.sat import conjunction_search
 
 _NAMES = ["p", "q", "r"]
 
@@ -68,7 +71,7 @@ def test_formula_or_negation_satisfiable(formula):
 def test_conjunction_product_agrees_with_single_tableau(left, right):
     conjunction = And(left, right)
     single = not ltl_to_gba(conjunction).is_empty()
-    product = not gba_product([ltl_to_gba(left), ltl_to_gba(right)]).is_empty()
+    product = not conjunction_search([ltl_to_gba(left), ltl_to_gba(right)]).is_empty()
     assert single == product
 
 
@@ -100,3 +103,18 @@ def test_monitor_agrees_with_tableau_on_invariants(body):
     if lasso is not None:
         trace = lasso_to_trace(tableau, lasso, sorted(atoms_of(formula)))
         assert evaluate(formula, trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(formulas())
+def test_search_agrees_with_tarjan_oracle(formula):
+    automaton = ltl_to_gba(formula)
+    lasso = automaton.accepting_lasso()
+    assert (lasso is None) == tarjan_is_empty(automaton)
+    if lasso is not None:
+        states = list(lasso.states()) + [lasso.loop[0]]
+        assert states[0] in automaton.initial
+        for source, target in zip(states, states[1:]):
+            assert target in automaton.transitions[source]
+        for accept_set in automaton.acceptance:
+            assert accept_set & set(lasso.loop)

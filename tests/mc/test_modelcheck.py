@@ -1,6 +1,8 @@
 """Tests for the explicit-state model checker."""
 
 import pytest
+from oracles.emptiness import is_empty as tarjan_is_empty
+from oracles.product import kripke_product
 
 from repro.ltl import evaluate, parse
 from repro.mc import ProductStatistics, check, find_run, kripke_automata_product, build_kripke
@@ -86,24 +88,38 @@ class TestProduct:
         kripke = kripke_from_module(latch)
         automaton = monitor_or_tableau(parse("G(!c)"))
         statistics = ProductStatistics()
-        product = kripke_automata_product(kripke, [automaton], statistics=statistics)
+        search = kripke_automata_product(kripke, [automaton], statistics=statistics)
         # Runs staying in !c states exist (keep a or b low forever).
-        assert not product.is_empty()
+        assert not search.is_empty()
+        assert statistics.product_states == search.state_count()
+        assert statistics.product_transitions == search.transition_count()
         assert statistics.product_states <= statistics.kripke_states * automaton.state_count()
+        for state in search.lasso.states():
+            assert not kripke.value(state[0], "c")
 
     def test_product_with_contradictory_automata_is_empty(self, latch):
         kripke = kripke_from_module(latch)
         automata = [monitor_or_tableau(parse("G c")), monitor_or_tableau(parse("G !c"))]
-        product = kripke_automata_product(kripke, automata)
-        assert product.is_empty()
+        search = kripke_automata_product(kripke, automata)
+        assert search.is_empty()
+
+    def test_empty_search_explores_the_reachable_product(self, latch):
+        kripke = kripke_from_module(latch)
+        automata = [monitor_or_tableau(parse("G(a -> X !a)")), monitor_or_tableau(parse("F G a"))]
+        search = kripke_automata_product(kripke, automata)
+        oracle = kripke_product(kripke, automata)
+        assert search.is_empty() and tarjan_is_empty(oracle)
+        assert search.state_count() == oracle.state_count()
+        assert search.transition_count() == oracle.transition_count()
 
     def test_build_kripke_passthrough(self, latch):
         kripke = kripke_from_module(latch)
         assert build_kripke(kripke) is kripke
 
-    def test_product_annotation_maps_back_to_kripke(self, latch):
+    def test_lasso_states_map_back_to_kripke(self, latch):
         kripke = kripke_from_module(latch)
         automaton = monitor_or_tableau(parse("G(a | !a)"))
-        product = kripke_automata_product(kripke, [automaton])
-        for state, annotation in product.annotations.items():
-            assert 0 <= annotation[0] < kripke.state_count()
+        search = kripke_automata_product(kripke, [automaton])
+        for state in search.lasso.states():
+            assert 0 <= state[0] < kripke.state_count()
+            assert state[1] in automaton.labels

@@ -1,10 +1,11 @@
 """Differential properties of the raw-speed kernel tier.
 
-Three kernels each keep a slow reference path in-tree; these tests pin the
-fast path to it on the design catalog plus seeded random designs:
+Three kernels each have a slow reference path; these tests pin the fast path
+to it on the design catalog plus seeded random designs:
 
 * incremental (assumption-based) BMC vs the legacy fresh-solver search,
-* the bitset product / bitset emptiness sweep vs the dict product / Tarjan,
+* the on-the-fly product/emptiness search vs the oracle product + Tarjan
+  (``tests/oracles/``),
 * in-place BDD sifting vs the functions it is supposed to preserve.
 
 Seeded RNGs only — every failure here is reproducible by seed.
@@ -18,9 +19,11 @@ import subprocess
 import sys
 
 import pytest
+from oracles.emptiness import is_empty as tarjan_is_empty
+from oracles.product import check_lasso, kripke_product
 
 from repro.bmc.engine import find_run_bmc
-from repro.designs import CATALOG
+from repro.designs import CATALOG, random_design_entries
 from repro.designs.random import RandomDesignSpec, random_problem
 from repro.logic import boolexpr as bx
 from repro.logic.bdd import BDDManager
@@ -180,49 +183,37 @@ class TestIncrementalBmcEquivalence:
         assert len(outputs) == 1, "incremental BMC depends on PYTHONHASHSEED"
 
 
-class TestBitsetProductDifferential:
-    """Bitmask product construction must be byte-identical to the dict path,
-    and the bitset emptiness sweep must agree with Tarjan."""
+class TestOnTheFlyProductDifferential:
+    """The fused product/emptiness search against the oracle product + Tarjan.
 
-    def _products(self, problem, formulas):
-        module = problem.composed_module()
-        kripke = build_kripke(module, formulas)
-        automata = compile_formulas(formulas)
-        fast = kripke_automata_product(kripke, automata)
-        slow = kripke_automata_product(kripke, automata, bitset=False)
-        return fast, slow
+    Every query set of every catalog design and of
+    ``random_design_entries(16, 11)``: the verdicts must agree, every lasso
+    must be an accepting run of the oracle product, and the search never
+    explores more than the reachable product (all of it when empty).
+    """
 
-    def test_products_identical(self):
-        for name, problem in _problems():
+    @staticmethod
+    def _entries():
+        yield from CATALOG.items()
+        for entry in random_design_entries(16, 11):
+            yield entry.name, entry
+
+    def test_verdicts_agree_and_lassos_replay_on_the_oracle(self):
+        for name, entry in self._entries():
+            problem = entry.builder()
+            module = problem.composed_module()
             for formulas in _query_sets(problem):
-                fast, slow = self._products(problem, formulas)
-                assert fast.labels == slow.labels, name
-                assert fast.initial == slow.initial, name
-                assert fast.transitions == slow.transitions, name
-                assert fast.acceptance == slow.acceptance, name
-                assert fast.annotations == slow.annotations, name
-
-    def test_emptiness_agrees_and_lassos_are_valid(self):
-        for name, problem in _problems():
-            for formulas in _query_sets(problem):
-                fast, _ = self._products(problem, formulas)
-                bitset_lasso = fast.accepting_lasso()
-                tarjan_lasso = fast._accepting_lasso_tarjan()
-                assert (bitset_lasso is None) == (tarjan_lasso is None), name
-                for lasso in (bitset_lasso, tarjan_lasso):
-                    if lasso is None:
-                        continue
-                    states = list(lasso.states()) + [lasso.loop[0]]
-                    if lasso.stem:
-                        assert lasso.stem[0] in fast.initial
-                    else:
-                        assert lasso.loop[0] in fast.initial
-                    for source, target in zip(states, states[1:]):
-                        assert target in fast.transitions.get(source, set()), (
-                            name, lasso,
-                        )
-                    for accept_set in fast.acceptance:
-                        assert accept_set & set(lasso.loop), (name, lasso)
+                kripke = build_kripke(module, formulas)
+                automata = compile_formulas(formulas)
+                search = kripke_automata_product(kripke, automata)
+                oracle = kripke_product(kripke, automata)
+                assert search.is_empty() == tarjan_is_empty(oracle), name
+                if search.is_empty():
+                    assert search.state_count() == oracle.state_count(), name
+                    assert search.transition_count() == oracle.transition_count(), name
+                else:
+                    assert search.state_count() <= oracle.state_count(), name
+                    check_lasso(oracle, search.lasso)
 
 
 class TestBddSifting:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,10 +12,12 @@ import sys
 from repro.designs import build_mal, build_simple_latch
 from repro.engines import get_engine
 from repro.logic.boolexpr import and_, not_, or_, var, xor
+from repro.ltl.ast import Not
 from repro.ltl.parser import parse
 from repro.ltl.traces import LassoTrace
 from repro.rtl.netlist import Module
 from repro.runner.cache import (
+    CACHE_FORMAT,
     CachedRunResult,
     ResultCache,
     cache_for_dir,
@@ -87,6 +90,39 @@ class TestFingerprints:
         assert base != query_key("k", module, formulas, engine="explicit", backend="sat")
         assert base != query_key("k", module, formulas, engine="explicit", backend="auto", bound=8)
         assert base == query_key("k", module, formulas, engine="explicit", backend="auto")
+
+    def test_payload_under_the_unversioned_key_is_a_miss(self):
+        """A cache written before CACHE_FORMAT existed must not be replayed."""
+        problem = build_mal()
+        module = problem.composed_module()
+        formulas = [Not(problem.architectural[0])] + problem.all_rtl_formulas()
+        engine = get_engine("explicit")
+        compiled = engine.compile(module, formulas)
+        key = query_key(
+            "engine-run", compiled.module, compiled.formulas, engine="explicit",
+            backend=engine._cache_backend(), bound=engine._cache_bound(),
+            extra=compiled.cache_extra(),
+        )
+        legacy_parts = [
+            "kind=engine-run",
+            "engine=explicit",
+            f"backend={engine._cache_backend()}",
+            f"bound={engine._cache_bound() if engine._cache_bound() is not None else '-'}",
+            f"module={module_fingerprint(compiled.module)}",
+        ]
+        legacy_parts += [f"formula={formula_fingerprint(f)}" for f in compiled.formulas]
+        legacy_parts += [f"extra={item}" for item in compiled.cache_extra()]
+        legacy = hashlib.sha256("\n".join(legacy_parts).encode("utf-8")).hexdigest()
+        assert CACHE_FORMAT >= 2 and key != legacy
+        stale = {"satisfiable": True, "witness": {"stem": [], "loop": [{"stale": True}]}}
+        cache = ResultCache()
+        cache.put(legacy, stale)
+        with using_result_cache(cache):
+            result = engine.find_run(module, formulas)
+        assert cache.stats.hits == 0
+        assert not isinstance(result, CachedRunResult)
+        assert result.satisfiable is False  # mal_fig2 is covered
+        assert cache.get(key)["satisfiable"] is False
 
     def test_fingerprints_stable_across_hash_seeds(self):
         """Suite workers must agree on keys regardless of PYTHONHASHSEED."""
