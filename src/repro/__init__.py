@@ -20,6 +20,8 @@ The package layers are:
   cone-of-influence slice, memoized property automata, free/observed signal
   partition and structural fingerprint, built once per query shape and
   consumed by every engine,
+* :mod:`repro.options` — :class:`CoverageOptions`, the one table of settable
+  knobs the CLI, the service, suite jobs and engine construction derive from,
 * :mod:`repro.engines` — the unified decision-backend layer: propositional
   backends (truth table / BDD / SAT / auto) and coverage engines
   (explicit / bmc / symbolic / portfolio) behind string-keyed registries,

@@ -39,8 +39,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import CoverageOptions, analyze_problem, format_report, format_table1
-from .engines import engine_choices, get_engine, prop_backend_names, using_prop_backend
+from .core import analyze_problem, format_report, format_table1
+from .engines import engine_from_options, using_prop_backend
 from .designs import (
     build_full_mal_fig2,
     get_design,
@@ -49,6 +49,7 @@ from .designs import (
     miss_scenario_stimulus,
     table1_designs,
 )
+from .options import CoverageOptions, Option, ValidationError, cli_options
 from .rtl import Stimulus, render_waveform, simulate
 
 __all__ = ["main", "build_parser"]
@@ -94,47 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a JSONL trace (spans + metrics) of this invocation to FILE",
     )
 
-    def add_backend_flags(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--engine",
-            choices=engine_choices(),
-            default="explicit",
-            help=(
-                "primary-coverage engine: explicit-state product search, bounded SAT, "
-                "symbolic BDD fixpoint, portfolio (alias race: all three "
-                "concurrently, first decisive verdict wins), or auto (alias "
-                "learned: shallow bmc on small automata, then explicit)"
-            ),
-        )
-        sub_parser.add_argument(
-            "--prop-backend",
-            choices=sorted(prop_backend_names()),
-            default="auto",
-            help="propositional decision backend (truth table / BDD / SAT / auto)",
-        )
-        sub_parser.add_argument(
-            "--bound",
-            type=_non_negative_int,
-            default=12,
-            help="unrolling bound for the bmc engine (ignored by explicit/symbolic)",
-        )
-        sub_parser.add_argument(
-            "--no-slice",
-            action="store_true",
-            help=(
-                "disable cone-of-influence slicing of the compiled problem IR "
-                "(every query then runs on the full module)"
-            ),
-        )
-        sub_parser.add_argument(
-            "--bdd-reorder",
-            action="store_true",
-            help=(
-                "enable dynamic BDD variable reordering (greedy sifting) in "
-                "the symbolic engine; ignored by the other engines"
-            ),
-        )
-
     sub.add_parser("list", parents=[common], help="list the built-in designs")
 
     check_parser = sub.add_parser("check", parents=[common], help="primary coverage question for a design")
@@ -155,18 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --json: check only architectural conjunct N",
     )
-    add_backend_flags(check_parser)
+    _add_option_flags(check_parser, "check")
 
     analyze_parser = sub.add_parser("analyze", parents=[common], help="full coverage-gap analysis for a design")
     analyze_parser.add_argument("design", choices=design_names())
-    analyze_parser.add_argument("--max-witnesses", type=int, default=3)
-    analyze_parser.add_argument("--depth", type=int, default=5)
     analyze_parser.add_argument("--no-witnesses", action="store_true", help="omit witness waveforms")
-    add_backend_flags(analyze_parser)
+    _add_option_flags(analyze_parser, "analyze")
 
     table_parser = sub.add_parser("table1", parents=[common], help="regenerate the paper's Table 1")
-    table_parser.add_argument("--max-witnesses", type=int, default=2)
-    add_backend_flags(table_parser)
+    _add_option_flags(table_parser, "table1")
 
     sub.add_parser("timing", parents=[common], help="print the Figure 3 timing diagrams (MAL simulation)")
 
@@ -232,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite_parser.add_argument(
         "--output", metavar="FILE", help="write the report to FILE instead of stdout"
     )
-    add_backend_flags(suite_parser)
+    _add_option_flags(suite_parser, "suite")
 
     bench_parser = sub.add_parser(
         "bench",
@@ -374,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--index", type=_non_negative_int, default=None, metavar="N",
         help="check: only architectural conjunct N",
     )
-    submit_parser.add_argument("--max-witnesses", type=int, default=None, help="analyze")
-    submit_parser.add_argument("--depth", type=int, default=None, help="analyze")
     submit_parser.add_argument("--no-witnesses", action="store_true", help="analyze")
     submit_parser.add_argument(
         "--designs", nargs="+", metavar="NAME", default=None, help="suite: restrict designs"
@@ -391,42 +346,53 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS", help="suite"
     )
-    submit_parser.add_argument(
-        "--engine",
-        choices=engine_choices(),
-        default=None,
-        help="coverage engine (default: the server's default, explicit)",
-    )
-    submit_parser.add_argument(
-        "--prop-backend",
-        choices=sorted(prop_backend_names()),
-        default=None,
-        help="propositional backend",
-    )
-    submit_parser.add_argument(
-        "--bound", type=_non_negative_int, default=None, help="bmc unrolling bound"
-    )
-    submit_parser.add_argument(
-        "--no-slice", action="store_true", help="disable cone-of-influence slicing"
-    )
+    # The service validates what submit sends and answers with a structured 400.
+    _add_option_flags(submit_parser, "submit", validate=False)
     return parser
 
 
-def _options_from_args(args: argparse.Namespace, **overrides) -> CoverageOptions:
-    """Build CoverageOptions from the shared backend flags plus per-command overrides."""
+def _flag_type(option: Option):
+    """CLI text -> value, checked by the option's own validator."""
+
+    def convert(text: str):
+        try:
+            return option.validate(option.parse(text), option.wire)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
+
+    # argparse names text that does not parse after this ("invalid int value").
+    convert.__name__ = option.parse.__name__
+    return convert
+
+
+def _add_option_flags(parser: argparse.ArgumentParser, command: str, *, validate: bool = True) -> None:
+    """One flag per options-table entry that ``command`` takes.
+
+    ``validate=False`` only parses the values; the receiver validates them.
+    """
+    for name, option in cli_options(command):
+        if option.const is None:
+            parse = _flag_type(option) if validate else option.parse
+            kind = dict(type=parse, metavar="N" if option.parse is int else "NAME")
+        else:
+            kind = dict(action="store_const", const=option.const)
+        default = option.cli_defaults.get(command, getattr(CoverageOptions, name))
+        parser.add_argument(option.flag, dest=option.wire, default=default, help=option.help, **kind)
+
+
+def _options_from_args(args: argparse.Namespace, command: str) -> CoverageOptions:
     return CoverageOptions(
-        engine=args.engine,
-        prop_backend=args.prop_backend,
-        bmc_max_bound=args.bound,
-        slicing=_slicing_from_args(args),
-        bdd_reorder=args.bdd_reorder,
-        **overrides,
+        **{name: getattr(args, option.wire) for name, option in cli_options(command)}
     )
 
 
-def _slicing_from_args(args: argparse.Namespace):
-    """``--no-slice`` forces slicing off; the default is adaptive ``"auto"``."""
-    return False if args.no_slice else "auto"
+def _request_body(args: argparse.Namespace, command: str) -> dict:
+    """The service request fields of the option flags set away from their defaults."""
+    return {
+        option.wire: getattr(args, option.wire)
+        for name, option in cli_options(command)
+        if getattr(args, option.wire) != getattr(CoverageOptions, name)
+    }
 
 
 def _cmd_list() -> int:
@@ -456,19 +422,11 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
             validate_request,
         )
 
-        body = {
-            "design": design,
-            "engine": args.engine,
-            "prop_backend": args.prop_backend,
-            "bound": args.bound,
-            "slicing": _slicing_from_args(args),
-        }
+        # A flag the service does not take (--bdd-reorder) goes into the
+        # body too, so the validator rejects it instead of it being dropped.
+        body = {"design": design, **_request_body(args, "check")}
         if args.index is not None:
             body["index"] = args.index
-        if args.bdd_reorder:
-            # Not a service field: the validator rejects it rather than the
-            # flag being silently dropped.
-            body["bdd_reorder"] = True
         try:
             request = validate_request("check", body)
             payload = execute_job(request)
@@ -480,13 +438,9 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
         return exit_code_for(payload)
     entry = get_design(design)
     problem = entry.builder()
-    engine = get_engine(
-        args.engine,
-        max_bound=args.bound,
-        slicing=_slicing_from_args(args),
-        bdd_reorder=args.bdd_reorder,
-    )
-    with using_prop_backend(args.prop_backend):
+    options = _options_from_args(args, "check")
+    engine = engine_from_options(options)
+    with using_prop_backend(options.prop_backend):
         verdict = engine.check_primary(problem)
     print(f"design   : {problem.name}")
     print(f"engine   : {verdict.engine}")
@@ -511,15 +465,14 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
 def _cmd_analyze(design: str, args: argparse.Namespace) -> int:
     entry = get_design(design)
     problem = entry.builder()
-    options = _options_from_args(args, max_witnesses=args.max_witnesses, unfold_depth=args.depth)
-    report = analyze_problem(problem, options)
+    report = analyze_problem(problem, _options_from_args(args, "analyze"))
     print(format_report(report, show_witnesses=not args.no_witnesses))
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     rows = []
-    options = _options_from_args(args, max_witnesses=args.max_witnesses)
+    options = _options_from_args(args, "table1")
     for entry in table1_designs():
         problem = entry.builder()
         report = analyze_problem(problem, options)
@@ -533,14 +486,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     jobs = expand_jobs(
         args.designs,
-        engine=args.engine,
-        prop_backend=args.prop_backend,
-        bound=args.bound,
-        slicing=_slicing_from_args(args),
+        options=_options_from_args(args, "suite"),
         include_signals=not args.no_signals,
         random_count=args.random,
         random_seed=args.seed,
-        bdd_reorder=args.bdd_reorder,
     )
     result = run_suite(
         jobs,
@@ -761,19 +710,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     elif args.design is not None:
         print("submit: suite takes no positional design (use --designs)", file=sys.stderr)
         return 2
-    put("engine", args.engine)
-    put("prop_backend", args.prop_backend)
-    put("bound", args.bound)
-    if args.no_slice:
-        body["slicing"] = False
+    # Option flags go to the service as set; it rejects any the job kind
+    # does not take.
+    body.update(_request_body(args, "submit"))
     put("timeout", args.job_timeout)
     if args.kind == "check":
         put("index", args.index)
-    if args.kind == "analyze":
-        put("max_witnesses", args.max_witnesses)
-        put("depth", args.depth)
-        if args.no_witnesses:
-            body["witnesses"] = False
+    if args.kind == "analyze" and args.no_witnesses:
+        body["witnesses"] = False
     if args.kind == "suite":
         put("designs", args.designs)
         put("random", args.random)

@@ -29,6 +29,7 @@ from ..engines.prop import using_prop_backend
 from ..ltl.ast import Formula
 from ..obs import span
 from ..ltl.printer import to_str
+from ..options import CoverageOptions
 from .hole import CoverageHole, coverage_hole
 from .primary import PrimaryCoverageResult, primary_coverage_check
 from .push import PushResult, push_terms
@@ -44,60 +45,6 @@ __all__ = [
     "analyze_problem",
     "result_cache_context",
 ]
-
-
-@dataclass
-class CoverageOptions:
-    """Tunables of the gap-finding pipeline.
-
-    ``engine`` selects the primary-coverage engine from the
-    :mod:`repro.engines` registry: ``"explicit"`` (complete product search),
-    ``"bmc"`` (bounded SAT up to ``bmc_max_bound``), ``"symbolic"``
-    (complete BDD fixpoint — prefer it when the product state space is too
-    wide for explicit enumeration), ``"portfolio"`` (alias ``"race"``:
-    all three concurrently, first decisive verdict wins) or ``"auto"``
-    (alias ``"learned"``: shallow bmc on small automata, then explicit).
-    ``slicing`` controls the cone-of-influence reduction of the compiled
-    problem IR (:mod:`repro.problem`): every query is restricted to the
-    fan-in of its formulas' atoms (plus the observed ``APR`` signals);
-    disable it only for differential testing.  ``prop_backend``
-    selects the propositional decision backend (``"auto"``, ``"table"``,
-    ``"bdd"``, ``"sat"``) installed for the duration of an analysis; the
-    default ``None`` keeps the process-wide active backend (``auto`` unless
-    changed via :func:`repro.engines.set_prop_backend`), so a globally
-    installed backend is respected.
-
-    ``cache_dir`` installs a persistent decision-result cache
-    (:mod:`repro.runner.cache`) for the duration of the analysis, so repeated
-    runs — and overlapping queries within one run — replay decided queries
-    instead of re-deciding them.  ``use_cache=False`` disables caching
-    entirely (including a process-wide active cache); the default ``None``
-    directory with ``use_cache=True`` keeps whatever cache is already active.
-    """
-
-    max_witnesses: int = 3
-    unfold_depth: int = 5
-    max_candidates: int = 48
-    max_closure_checks: int = 20
-    max_reported_gaps: int = 3
-    include_negated_literals: bool = True
-    verify_closure: bool = True
-    minimize_tm_guards: bool = True
-    restrict_to_free_signals: bool = True
-    engine: str = "explicit"
-    prop_backend: Optional[str] = None
-    bmc_max_bound: int = 12
-    #: ``True`` always slices, ``False`` never; the default ``"auto"`` slices
-    #: only when the cone of influence drops a meaningful share of the design
-    #: (skipping slice construction on near-full cones).
-    slicing: object = "auto"
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
-    #: Dynamic BDD variable reordering (greedy sifting) in the symbolic
-    #: engine, triggered on node-table growth during the fixpoints.  Off by
-    #: default: the interleaved current/next order is already good for most
-    #: designs.  Other engines ignore it.
-    bdd_reorder: bool = False
 
 
 @dataclass
@@ -268,19 +215,18 @@ def _find_coverage_gap(
         push = push_terms(architectural, terms.terms)
         # Step 2(d): weaken and keep the weakest closing candidates.
         # Suggestions whose new literal is a signal *driven* by the concrete
-        # modules are dropped by default: such literals merely restate the RTL
-        # and lead to candidates equivalent to the original property.  Free
-        # signals (module inputs and the signals of the property-specified
-        # sub-modules) are where genuine environment/scenario restrictions
-        # live.
+        # modules are dropped whenever a free-signal suggestion remains: such
+        # literals merely restate the RTL and lead to candidates equivalent to
+        # the original property.  Free signals (module inputs and the signals
+        # of the property-specified sub-modules) are where genuine
+        # environment/scenario restrictions live.
         suggestions = push.suggestions
-        if options.restrict_to_free_signals:
-            driven = set(problem.composed_module().assigns) | set(
-                problem.composed_module().registers
-            )
-            free_suggestions = [s for s in suggestions if s.literal_name not in driven]
-            if free_suggestions:
-                suggestions = free_suggestions
+        driven = set(problem.composed_module().assigns) | set(
+            problem.composed_module().registers
+        )
+        free_suggestions = [s for s in suggestions if s.literal_name not in driven]
+        if free_suggestions:
+            suggestions = free_suggestions
         candidates = generate_candidates(architectural, suggestions, options=options)
         # Cheap necessary-condition filter before the expensive closure
         # checks: a candidate can only close the gap if every collected

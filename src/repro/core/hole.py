@@ -16,15 +16,13 @@ used to validate them (and to cross-check the legible output against them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..ltl.ast import Formula, Not, Or, conj
 from ..ltl.rewrite import simplify
+from ..options import CoverageOptions
 from .spec import CoverageProblem
 from .tm import TMResult, build_tm_for_modules
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .coverage import CoverageOptions
 
 __all__ = ["CoverageHole", "coverage_hole", "hole_closes_gap"]
 
@@ -62,22 +60,17 @@ def coverage_hole(
     problem: CoverageProblem,
     *,
     architectural: Optional[Formula] = None,
-    minimize_guards: Optional[bool] = None,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> CoverageHole:
     """Compute the exact coverage hole of Theorem 2 for the problem.
 
-    ``options`` (when given) supplies ``minimize_tm_guards`` and the
-    propositional backend used while building ``T_M``; an explicitly passed
-    ``minimize_guards`` wins over ``options``.
+    ``options`` (when given) supplies the propositional backend used while
+    building ``T_M``.
     """
     problem.validate()
-    if minimize_guards is None:
-        minimize_guards = options.minimize_tm_guards if options else True
     target = architectural if architectural is not None else problem.architectural_conjunction()
     tm_formula, tm_results, tm_seconds = build_tm_for_modules(
         problem.concrete_modules,
-        minimize_guards=minimize_guards,
         prop_backend=None if options is None else options.prop_backend,
     )
     return CoverageHole(
@@ -93,7 +86,7 @@ def coverage_hole(
 def hole_closes_gap(
     problem: CoverageProblem,
     hole: CoverageHole,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> bool:
     """Sanity check of Theorem 2: ``(R & R_H) & !A`` must be false in ``M``.
 

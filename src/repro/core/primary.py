@@ -10,7 +10,7 @@ intent is *not* covered and the run is returned as a witness (the start of the
 gap analysis); if no such run exists, coverage is proved.
 
 The search itself is delegated to a :class:`~repro.engines.coverage.CoverageEngine`
-selected via ``options`` (:class:`~repro.core.coverage.CoverageOptions`):
+selected via ``options`` (:class:`~repro.options.CoverageOptions`):
 the complete explicit-state engine by default, the bounded SAT engine
 (``engine="bmc"``), whose *covered* verdicts hold up to
 ``options.bmc_max_bound`` only (``PrimaryCoverageResult.complete`` records
@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..engines.coverage import engine_from_options
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..mc.product import ProductStatistics
+from ..options import CoverageOptions
 from .spec import CoverageProblem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (coverage imports primary)
-    from .coverage import CoverageOptions
 
 __all__ = ["PrimaryCoverageResult", "primary_coverage_check", "is_covered_with"]
 
@@ -59,7 +57,7 @@ def primary_coverage_check(
     problem: CoverageProblem,
     *,
     architectural: Optional[Formula] = None,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> PrimaryCoverageResult:
     """Answer the primary coverage question for the problem.
 
@@ -101,7 +99,7 @@ def is_covered_with(
     extra_properties: Sequence[Formula],
     *,
     architectural: Optional[Formula] = None,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> bool:
     """Theorem 1 with additional candidate properties added to the RTL spec.
 

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..engines.coverage import engine_from_options
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..ltl.unfold import TemporalTerm, term_from_trace
+from ..options import CoverageOptions
 from .spec import CoverageProblem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .coverage import CoverageOptions
 
 __all__ = ["UncoveredTerms", "collect_gap_witnesses", "uncovered_terms"]
 
@@ -54,7 +52,7 @@ def collect_gap_witnesses(
     architectural: Optional[Formula] = None,
     max_witnesses: int = 4,
     depth: int = 5,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> List[LassoTrace]:
     """Enumerate distinct runs admitted by ``R`` + concrete modules but refuting ``A``.
 
@@ -96,7 +94,7 @@ def uncovered_terms(
     architectural: Optional[Formula] = None,
     max_witnesses: int = 4,
     depth: int = 5,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> UncoveredTerms:
     """Steps 2(a)+(b) of Algorithm 1: bounded uncovered terms over ``APR`` and ``APA``."""
     start = time.perf_counter()

@@ -26,15 +26,13 @@ Every candidate is then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .coverage import CoverageOptions
+from typing import Callable, List, Optional, Sequence
 
 from ..ltl.ast import And, Atom, Formula, Next, Not, Or
 from ..ltl.printer import to_str
 from ..ltl.rewrite import simplify, substitute_atom_instance
 from ..ltl.sat import implies as ltl_implies
+from ..options import CoverageOptions
 from .push import WeakeningSuggestion
 
 __all__ = ["GapCandidate", "apply_weakening", "generate_candidates", "select_weakest"]
@@ -75,29 +73,20 @@ def generate_candidates(
     formula: Formula,
     suggestions: Sequence[WeakeningSuggestion],
     *,
-    include_negated_literals: Optional[bool] = None,
-    max_candidates: Optional[int] = None,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> List[GapCandidate]:
     """Build candidate gap properties from the suggestions.
 
-    For every suggestion the observed literal polarity is tried first; with
-    ``include_negated_literals`` the opposite polarity is also generated (the
-    paper's ``phi'``/``phi''`` pair) so that whichever half is uncovered can be
-    reported.  A :class:`CoverageOptions` can be passed instead of the
-    individual tunables; an explicitly passed tunable wins over ``options``.
+    For every suggestion the observed literal polarity is tried first, then
+    the opposite one (the paper's ``phi'``/``phi''`` pair), so that whichever
+    half is uncovered can be reported.  At most ``options.max_candidates``
+    candidates are built.
     """
-    if include_negated_literals is None:
-        include_negated_literals = options.include_negated_literals if options else True
-    if max_candidates is None:
-        max_candidates = options.max_candidates if options else 64
+    max_candidates = (options or CoverageOptions()).max_candidates
     candidates: List[GapCandidate] = []
     seen = set()
     for suggestion in suggestions:
-        polarities = [suggestion.literal_value]
-        if include_negated_literals:
-            polarities.append(not suggestion.literal_value)
-        for value in polarities:
+        for value in (suggestion.literal_value, not suggestion.literal_value):
             adjusted = WeakeningSuggestion(
                 instance=suggestion.instance,
                 literal_name=suggestion.literal_name,
@@ -127,19 +116,17 @@ def select_weakest(
     closes_gap: Callable[[Formula], bool],
     *,
     require_weaker: bool = True,
-    max_reported: Optional[int] = None,
-    options: Optional["CoverageOptions"] = None,
+    options: Optional[CoverageOptions] = None,
 ) -> List[GapCandidate]:
     """Filter candidates to the weakest ones that close the coverage gap.
 
     ``closes_gap`` is the model-relative Theorem-1 check supplied by the
     coverage driver.  Candidates that are not implied by the original property
     are discarded when ``require_weaker`` is set (they would strengthen the
-    intent rather than decompose it).  ``max_reported`` falls back to
-    ``options.max_reported_gaps`` when not passed explicitly.
+    intent rather than decompose it).  At most ``options.max_reported_gaps``
+    candidates are kept.
     """
-    if max_reported is None:
-        max_reported = options.max_reported_gaps if options else 4
+    max_reported = (options or CoverageOptions()).max_reported_gaps
     closing: List[GapCandidate] = []
     for candidate in candidates:
         if require_weaker:

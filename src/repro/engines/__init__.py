@@ -22,7 +22,7 @@ Every decision query of the pipeline funnels through one of two registries:
 
 Both registries are string-keyed so the selection threads cleanly from the
 CLI (``--engine`` / ``--prop-backend``) and from
-:class:`~repro.core.coverage.CoverageOptions` down to the kernel.
+:class:`~repro.options.CoverageOptions` down to the kernel.
 """
 
 from .prop import (

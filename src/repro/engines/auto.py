@@ -35,14 +35,13 @@ class AutoEngine(CoverageEngine):
     name = "auto"
     complete = True
 
-    def __init__(self, *, max_bound: int = 12, slicing="auto"):
-        super().__init__(slicing=slicing, max_bound=max_bound)
+    def __init__(self, **settings):
+        super().__init__(**settings)
         # Long-lived members: the bmc member pools its incremental solver
         # sessions across the queries this engine answers.
-        self._bmc = get_engine(
-            "bmc", max_bound=min(max_bound, SHALLOW_BOUND), slicing=slicing
-        )
-        self._explicit = get_engine("explicit", max_bound=max_bound, slicing=slicing)
+        shallow = {**self.settings(), "max_bound": min(self.max_bound, SHALLOW_BOUND)}
+        self._bmc = get_engine("bmc", **shallow)
+        self._explicit = get_engine("explicit", **self.settings())
 
     def _cache_bound(self) -> int:
         # The shallow step's reach decides which witness a run reports.

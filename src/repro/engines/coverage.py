@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..obs import PhaseAggregator, metrics, span
+from ..options import CoverageOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import cycle
     from ..core.spec import CoverageProblem
@@ -99,24 +100,34 @@ def _query_formulas(
 class CoverageEngine:
     """Base class / protocol of the primary-coverage engines.
 
-    ``slicing`` controls whether queries are compiled with cone-of-influence
-    reduction (:mod:`repro.problem`): ``True`` always slices, ``False``
-    never, and the default ``"auto"`` slices only when the cone drops a
-    meaningful part of the module.  Threaded from ``CoverageOptions.slicing``
-    / the CLI ``--no-slice`` flag.
+    Every engine takes the shared settings of
+    :meth:`CoverageOptions.engine_settings` (bound, cone-of-influence
+    ``slicing``, BDD reordering) as keywords, defaulting to the table's.
     """
 
     name: str = "?"
     #: True when a "covered" verdict is a full proof rather than bounded.
     complete: bool = True
 
-    def __init__(self, *, slicing="auto", max_bound: int = 12):
+    def __init__(
+        self,
+        *,
+        max_bound: int = CoverageOptions.bmc_max_bound,
+        slicing=CoverageOptions.slicing,
+        bdd_reorder: bool = CoverageOptions.bdd_reorder,
+    ):
         self.slicing = slicing
         #: The bound a bounded search would run to.  Complete engines never
         #: use it to decide, but it is part of every engine's *feature
         #: record* (suite shard rows, cached payloads), which always carries
         #: the configured bound, never ``None``.
         self.max_bound = max_bound
+        #: BDD sifting in the symbolic engine; the other engines ignore it.
+        self.bdd_reorder = bdd_reorder
+
+    def settings(self) -> Dict[str, object]:
+        """The shared settings this engine was built with (to build members)."""
+        return {"max_bound": self.max_bound, "slicing": self.slicing, "bdd_reorder": self.bdd_reorder}
 
     def compile(
         self,
@@ -325,8 +336,8 @@ class BmcEngine(CoverageEngine):
     #: Upper bound on pooled sessions per engine instance; oldest evicted.
     _SESSION_POOL_LIMIT = 8
 
-    def __init__(self, *, max_bound: int = 12, slicing="auto", incremental: bool = True):
-        super().__init__(slicing=slicing, max_bound=max_bound)
+    def __init__(self, *, incremental: bool = True, **settings):
+        super().__init__(**settings)
         self.incremental = incremental
         self._sessions: Dict[tuple, object] = {}
         self._session_lock = threading.Lock()
@@ -428,43 +439,20 @@ def engine_choices() -> tuple:
     return tuple(sorted(set(_ALIASES) | set(_ENGINES)))
 
 
-def get_engine(name: str, **kwargs) -> CoverageEngine:
-    """Instantiate an engine by name (``explicit`` / ``bmc``, aliases accepted).
+def get_engine(name: str, **settings) -> CoverageEngine:
+    """Instantiate an engine by name (aliases accepted).
 
-    Keyword arguments are forwarded to the factory *filtered by its
-    signature*, so generic call sites can pass the whole tuning set
-    (``get_engine(options.engine, max_bound=options.bmc_max_bound)``) and each
-    engine picks up only the knobs it understands.
+    ``settings`` go to the constructor as they are, so a keyword the engine
+    does not take raises ``TypeError`` instead of being dropped.
     """
     canonical = _ALIASES.get(name.lower()) if isinstance(name, str) else None
     if canonical is None:
         known = ", ".join(engine_names())
         raise KeyError(f"unknown coverage engine {name!r} (known: {known})")
-    factory = _ENGINES[canonical]
-    if kwargs:
-        import inspect
-
-        parameters = inspect.signature(factory).parameters
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-            return factory(**kwargs)
-        return factory(**{k: v for k, v in kwargs.items() if k in parameters})
-    return factory()
+    return _ENGINES[canonical](**settings)
 
 
-def engine_from_options(options) -> CoverageEngine:
-    """Resolve the engine selected by a :class:`CoverageOptions`-like object.
-
-    Reads the ``engine``, ``bmc_max_bound`` and ``slicing`` attributes
-    (duck-typed so the core layer never has to import this module at
-    class-definition time) — any registered engine name (``explicit`` /
-    ``bmc`` / ``symbolic`` / ``portfolio``) is accepted; ``None`` selects the
-    default explicit engine.
-    """
-    if options is None:
-        return get_engine("explicit")
-    return get_engine(
-        getattr(options, "engine", "explicit"),
-        max_bound=getattr(options, "bmc_max_bound", 12),
-        slicing=getattr(options, "slicing", "auto"),
-        bdd_reorder=getattr(options, "bdd_reorder", False),
-    )
+def engine_from_options(options: Optional[CoverageOptions] = None) -> CoverageEngine:
+    """The engine a :class:`CoverageOptions` selects, built with its settings."""
+    options = options or CoverageOptions()
+    return get_engine(options.engine, **options.engine_settings())

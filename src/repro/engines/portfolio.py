@@ -99,12 +99,11 @@ class PortfolioEngine(CoverageEngine):
     def __init__(
         self,
         *,
-        max_bound: int = 12,
-        slicing="auto",
         members: Sequence[str] = DEFAULT_MEMBERS,
         parallel: bool = True,
+        **settings,
     ):
-        super().__init__(slicing=slicing, max_bound=max_bound)
+        super().__init__(**settings)
         if not members:
             raise ValueError("portfolio needs at least one member engine")
         if any(name in ("portfolio", "race", "auto", "learned") for name in members):
@@ -125,10 +124,7 @@ class PortfolioEngine(CoverageEngine):
         return super()._cache_backend() + "|members=" + ",".join(self.members)
 
     def _member_engines(self) -> List[CoverageEngine]:
-        return [
-            get_engine(name, max_bound=self.max_bound, slicing=self.slicing)
-            for name in self.members
-        ]
+        return [get_engine(name, **self.settings()) for name in self.members]
 
     @staticmethod
     def _decisive(engine: CoverageEngine, result) -> bool:

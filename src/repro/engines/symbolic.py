@@ -43,17 +43,9 @@ class SymbolicEngine(CoverageEngine):
     name = "symbolic"
     complete = True
 
-    def __init__(
-        self,
-        *,
-        verify_witness: bool = True,
-        slicing="auto",
-        max_bound: int = 12,
-        bdd_reorder: bool = False,
-    ):
-        super().__init__(slicing=slicing, max_bound=max_bound)
+    def __init__(self, *, verify_witness: bool = True, **settings):
+        super().__init__(**settings)
         self.verify_witness = verify_witness
-        self.bdd_reorder = bdd_reorder
 
     def _cache_backend(self) -> str:
         # The fixpoint never consults the propositional backends, so cached

@@ -37,17 +37,18 @@ import os
 import signal as _signal
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.spec import CoverageProblem
 from ..designs.catalog import get_design
 from ..designs.random import RandomDesignSpec, random_problem
-from ..engines.coverage import get_engine
+from ..engines.coverage import engine_from_options
 from ..engines.prop import using_prop_backend
 from ..ltl.ast import Atom, Eventually
 from ..obs import PhaseAggregator
+from ..options import CoverageOptions, cli_options
 from .cache import CacheStats, ResultCache, cache_for_dir, set_result_cache, using_result_cache
 
 __all__ = [
@@ -72,14 +73,13 @@ class CoverageJob:
     kind: str  # "primary" | "signal"
     target: str  # conjunct index (as text) or signal name
     index: int  # architectural conjunct index (0 for signal shards)
-    engine: str = "explicit"
-    prop_backend: str = "auto"
-    bound: int = 12
-    #: ``True`` / ``False`` / ``"auto"`` (see :mod:`repro.problem`).
-    slicing: object = "auto"
+    #: Engine, engine settings and propositional backend of the shard.
+    options: CoverageOptions = field(default_factory=CoverageOptions)
     random_spec: Optional[RandomDesignSpec] = None
-    #: BDD sifting in the symbolic engine (other engines ignore it).
-    bdd_reorder: bool = False
+
+    @property
+    def engine(self) -> str:
+        return self.options.engine
 
     @property
     def job_id(self) -> str:
@@ -205,37 +205,35 @@ class SuiteResult:
 def expand_jobs(
     designs: Optional[Sequence[str]] = None,
     *,
-    engine: str = "explicit",
-    prop_backend: str = "auto",
-    bound: int = 12,
-    slicing="auto",
+    options: Optional[CoverageOptions] = None,
     include_signals: bool = True,
     random_count: int = 0,
     random_seed: int = 0,
     random_sizes: Optional[dict] = None,
-    bdd_reorder: bool = False,
+    **settings,
 ) -> List[CoverageJob]:
     """Expand the catalog (plus random designs) into independent shards.
 
     One ``primary`` shard per architectural conjunct of every design, plus one
-    ``signal`` shard per interface signal of its concrete modules.  The result
-    is sorted by job identity — the canonical, reproducible suite order.
+    ``signal`` shard per interface signal of its concrete modules, each run
+    with ``options`` updated by ``settings`` (the option fields of a suite
+    request by wire name: ``engine=``, ``bound=``, ...).  The result is
+    sorted by job identity — the canonical, reproducible suite order.
     """
     from ..designs.catalog import design_names
     from ..designs.random import random_design_entries
 
+    by_wire = {option.wire: name for name, option in cli_options("suite")}
+    unknown = sorted(set(settings) - set(by_wire))
+    if unknown:
+        raise TypeError(f"expand_jobs() got settings the suite does not take: {unknown}")
+    options = replace(
+        options or CoverageOptions(), **{by_wire[wire]: value for wire, value in settings.items()}
+    )
     jobs: List[CoverageJob] = []
 
     def add_design(name: str, problem: CoverageProblem, spec: Optional[RandomDesignSpec]) -> None:
-        common = dict(
-            design=name,
-            engine=engine,
-            prop_backend=prop_backend,
-            bound=bound,
-            slicing=slicing,
-            random_spec=spec,
-            bdd_reorder=bdd_reorder,
-        )
+        common = dict(design=name, options=options, random_spec=spec)
         for index in range(len(problem.architectural)):
             jobs.append(CoverageJob(kind="primary", target=str(index), index=index, **common))
         if include_signals and problem.has_concrete_modules():
@@ -271,13 +269,8 @@ def _answer(
     Returns ``(verdict, complete, detail, winner, features)``.
     """
     problem = job.problem()
-    engine = get_engine(
-        job.engine,
-        max_bound=job.bound,
-        slicing=job.slicing,
-        bdd_reorder=job.bdd_reorder,
-    )
-    with using_prop_backend(job.prop_backend):
+    engine = engine_from_options(job.options)
+    with using_prop_backend(job.options.prop_backend):
         if job.kind == "primary":
             verdict = engine.check_primary(
                 problem, architectural=problem.architectural[job.index]
@@ -296,7 +289,7 @@ def _answer(
             # Compile explicitly (memoized, so free when find_run recompiles)
             # so the shard row carries the query's feature record.
             compiled = engine.compile(module, formulas, observe=(job.target,))
-            features = _shard_features(compiled.features(bound=job.bound), job)
+            features = _shard_features(compiled.features(bound=job.options.bmc_max_bound), job)
             result = engine.find_run(compiled)
             observable = bool(result.satisfiable)
             result_complete = getattr(result, "complete", None)
@@ -324,7 +317,7 @@ def _shard_features(features: Optional[dict], job: CoverageJob) -> Optional[dict
         return None
     if features.get("bound") is None:
         features = dict(features)
-        features["bound"] = job.bound
+        features["bound"] = job.options.bmc_max_bound
     return features
 
 

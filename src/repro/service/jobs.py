@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from ..engines.cancel import Cancelled, CancelToken, using_cancel_token
+from ..options import CoverageOptions
 
 __all__ = [
     "JobRequest",
@@ -57,17 +58,13 @@ class JobRequest:
     """One validated job (the only shape the execution layer accepts)."""
 
     kind: str  # "check" | "analyze" | "suite"
-    engine: str = "explicit"
-    prop_backend: str = "auto"
-    bound: int = 12
-    slicing: object = "auto"
+    #: The coverage options the request set; the table's defaults otherwise.
+    options: CoverageOptions = field(default_factory=CoverageOptions)
     #: Per-request wall-clock budget in seconds (``None`` = server default).
     timeout: Optional[float] = None
     # check / analyze
     design: Optional[str] = None
     index: Optional[int] = None  # check: one architectural conjunct
-    max_witnesses: int = 3
-    depth: int = 5
     witnesses: bool = True
     # suite
     designs: Optional[Tuple[str, ...]] = None
@@ -95,7 +92,7 @@ _BACKEND_LOCK = threading.Lock()
 
 
 @contextmanager
-def _backend_scope(name: str):
+def _backend_scope(name: Optional[str]):
     """Serialise non-default prop-backend switches (the backend is global)."""
     from ..engines import active_prop_backend, using_prop_backend
 
@@ -178,7 +175,7 @@ def _cache_delta_scope():
 
 def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
     from ..designs import get_design
-    from ..engines import get_engine
+    from ..engines import engine_from_options
     from ..obs import PhaseAggregator
     from ..runner.cache import encode_trace
 
@@ -200,9 +197,9 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
     architectural = (
         problem.architectural[request.index] if request.index is not None else None
     )
-    engine = get_engine(request.engine, max_bound=request.bound, slicing=request.slicing)
+    engine = engine_from_options(request.options)
     delta = _cache_delta_scope()
-    with _backend_scope(request.prop_backend):
+    with _backend_scope(request.options.prop_backend):
         with PhaseAggregator() as phases:
             verdict = engine.check_primary(problem, architectural=architectural)
     return {
@@ -226,28 +223,23 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
 
 
 def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
-    from ..core import CoverageOptions, analyze_problem, format_report
+    from ..core import analyze_problem, format_report
     from ..designs import get_design
     from ..obs import PhaseAggregator
 
     entry = get_design(request.design)
     problem = entry.builder()
-    options = CoverageOptions(
-        engine=request.engine,
-        bmc_max_bound=request.bound,
-        slicing=request.slicing,
-        max_witnesses=request.max_witnesses,
-        unfold_depth=request.depth,
-    )
+    # The backend is installed (and serialised) by _backend_scope.
+    options = replace(request.options, prop_backend=None)
     delta = _cache_delta_scope()
-    with _backend_scope(request.prop_backend):
+    with _backend_scope(request.options.prop_backend):
         with PhaseAggregator() as phases:
             report = analyze_problem(problem, options)
     gaps = [analysis.describe() for analysis in report.analyses if not analysis.covered]
     return {
         "job": "analyze",
         "design": request.design,
-        "engine": request.engine,
+        "engine": request.options.engine,
         "covered": bool(report.covered),
         "gap_count": len(gaps),
         "gaps": gaps,
@@ -266,10 +258,7 @@ def _run_suite(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
 
     jobs = expand_jobs(
         list(request.designs) if request.designs is not None else None,
-        engine=request.engine,
-        prop_backend=request.prop_backend,
-        bound=request.bound,
-        slicing=request.slicing,
+        options=request.options,
         include_signals=request.include_signals,
         random_count=request.random,
         random_seed=request.seed,

@@ -18,13 +18,20 @@ so a client sees every problem with its request at once instead of fixing
 them one round-trip at a time.  Unknown fields are rejected (a typo like
 ``"desing"`` must not silently fall back to a default).
 
-The output of validation is a frozen :class:`~repro.service.jobs.JobRequest`
-— the execution layer never touches raw JSON.
+The coverage-option fields of every job kind (``engine``, ``bound``,
+``depth``, ...) are derived from the options table
+(:class:`repro.options.CoverageOptions`) and validated there; this module adds
+the job fields around them and the per-request ceilings on top.  The output
+of validation is a frozen :class:`~repro.service.jobs.JobRequest` whose
+``options`` is a :class:`CoverageOptions` — the execution layer never touches
+raw JSON.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..options import CoverageOptions, Option, ValidationError, _bool, _int, _non_negative, _str, service_options
 
 __all__ = [
     "ValidationError",
@@ -44,18 +51,6 @@ MAX_DEPTH = 16
 MAX_RANDOM_DESIGNS = 16
 MAX_SUITE_WORKERS = 8
 MAX_TIMEOUT_SECONDS = 600.0
-
-
-class ValidationError(ValueError):
-    """One field of a request failed validation."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
-
-    def entry(self) -> Dict[str, str]:
-        return {"field": self.field, "message": self.message}
 
 
 class RequestValidationError(ValueError):
@@ -78,33 +73,9 @@ class RequestValidationError(ValueError):
 
 # -- typed field validators ----------------------------------------------------
 #
-# Each takes (value, field) and returns the normalised value or raises
-# ValidationError.  They are deliberately strict: JSON already distinguishes
-# numbers from strings from booleans, so there is no string coercion — a
-# client sending `"bound": "12"` has a bug worth surfacing.
-
-
-def _str(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(field, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _bool(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(field, f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-def _int(value, field: str, *, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
-    # bool is a subclass of int; `"bound": true` must not validate.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(field, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(field, f"must be <= {maximum}, got {value}")
-    return value
+# The strict scalar validators (``_str`` / ``_bool`` / ``_int`` / ...) live
+# with the options table in :mod:`repro.options`; the ones below check the
+# request fields that are not coverage options.
 
 
 def _float(
@@ -148,82 +119,64 @@ def _design_list(value, field: str) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _engine(value, field: str) -> str:
-    from ..engines import engine_choices
-
-    name = _str(value, field)
-    if name not in engine_choices():
-        known = ", ".join(engine_choices())
-        raise ValidationError(field, f"unknown engine {name!r} (known: {known})")
-    return name
-
-
-def _prop_backend(value, field: str) -> str:
-    from ..engines import prop_backend_names
-
-    name = _str(value, field)
-    if name not in prop_backend_names():
-        known = ", ".join(sorted(prop_backend_names()))
-        raise ValidationError(field, f"unknown prop backend {name!r} (known: {known})")
-    return name
-
-
-def _slicing(value, field: str):
-    if value is True or value is False or value == "auto":
-        return value
-    raise ValidationError(field, f"expected true, false or \"auto\", got {value!r}")
-
-
 def _timeout(value, field: str) -> float:
     return _float(value, field, minimum=0.01, maximum=MAX_TIMEOUT_SECONDS)
 
 
-def _bound(value, field: str) -> int:
-    return _int(value, field, minimum=0, maximum=MAX_BOUND)
-
-
-def _index(value, field: str) -> int:
-    return _int(value, field, minimum=0)
-
-
 # -- request schemas -----------------------------------------------------------
 #
-# field -> (validator, required, default).  `None` stored for an optional
-# field means "use the server/CLI default".
+# field -> (validator, required, CoverageOptions field or None).  The
+# coverage-option fields of each kind come from the options table; the
+# service caps a few of them further per request.
 
 _Validator = Callable[[object, str], object]
+_Schema = Dict[str, Tuple[_Validator, bool, Optional[str]]]
 
-_COMMON: Dict[str, Tuple[_Validator, bool, object]] = {
-    "engine": (_engine, False, "explicit"),
-    "prop_backend": (_prop_backend, False, "auto"),
-    "bound": (_bound, False, 12),
-    "slicing": (_slicing, False, "auto"),
-    "timeout": (_timeout, False, None),
-}
+_CEILINGS = {"bound": MAX_BOUND, "max_witnesses": MAX_WITNESSES, "depth": MAX_DEPTH}
 
-_SCHEMAS: Dict[str, Dict[str, Tuple[_Validator, bool, object]]] = {
+
+def _capped(option: Option) -> _Validator:
+    ceiling = _CEILINGS.get(option.wire)
+    if ceiling is None:
+        return option.validate
+
+    def validate(value, field: str) -> int:
+        return _int(option.validate(value, field), field, maximum=ceiling)
+
+    return validate
+
+
+#: The job fields that are not coverage options (all optional but ``design``).
+_JOB_FIELDS: Dict[str, Dict[str, Tuple[_Validator, bool]]] = {
     "check": {
-        **_COMMON,
-        "design": (_design, True, None),
-        "index": (_index, False, None),
+        "design": (_design, True),
+        "index": (_non_negative, False),
     },
     "analyze": {
-        **_COMMON,
-        "design": (_design, True, None),
-        "max_witnesses": (lambda v, f: _int(v, f, minimum=0, maximum=MAX_WITNESSES), False, 3),
-        "depth": (lambda v, f: _int(v, f, minimum=1, maximum=MAX_DEPTH), False, 5),
-        "witnesses": (_bool, False, True),
+        "design": (_design, True),
+        "witnesses": (_bool, False),
     },
     "suite": {
-        **_COMMON,
-        "designs": (_design_list, False, None),
-        "random": (lambda v, f: _int(v, f, minimum=0, maximum=MAX_RANDOM_DESIGNS), False, 0),
-        "seed": (lambda v, f: _int(v, f), False, 0),
-        "include_signals": (_bool, False, True),
-        "workers": (lambda v, f: _int(v, f, minimum=1, maximum=MAX_SUITE_WORKERS), False, 1),
-        "shard_timeout": (_timeout, False, None),
+        "designs": (_design_list, False),
+        "random": (lambda v, f: _int(v, f, minimum=0, maximum=MAX_RANDOM_DESIGNS), False),
+        "seed": (_int, False),
+        "include_signals": (_bool, False),
+        "workers": (lambda v, f: _int(v, f, minimum=1, maximum=MAX_SUITE_WORKERS), False),
+        "shard_timeout": (_timeout, False),
     },
 }
+
+
+def _schema(kind: str) -> _Schema:
+    schema: _Schema = {"timeout": (_timeout, False, None)}
+    for field, (validator, required) in _JOB_FIELDS[kind].items():
+        schema[field] = (validator, required, None)
+    for name, option in service_options(kind):
+        schema[option.wire] = (_capped(option), False, name)
+    return schema
+
+
+_SCHEMAS: Dict[str, _Schema] = {kind: _schema(kind) for kind in JOB_KINDS}
 
 
 def validate_request(kind: str, payload: object) -> "JobRequest":
@@ -248,6 +201,7 @@ def validate_request(kind: str, payload: object) -> "JobRequest":
 
     schema = _SCHEMAS[kind]
     values: Dict[str, object] = {}
+    settings: Dict[str, object] = {}
     for field in sorted(payload):
         if field == "kind":
             if payload[field] != kind:
@@ -257,18 +211,21 @@ def validate_request(kind: str, payload: object) -> "JobRequest":
             continue
         if field not in schema:
             errors.append(ValidationError(field, "unknown field"))
-    for field, (validator, required, default) in sorted(schema.items()):
+    for field, (validator, required, option) in sorted(schema.items()):
         if field in payload:
             try:
-                values[field] = validator(payload[field], field)
+                value = validator(payload[field], field)
             except RequestValidationError as error:
                 errors.extend(error.errors)
             except ValidationError as error:
                 errors.append(error)
+            else:
+                if option is None:
+                    values[field] = value
+                else:
+                    settings[option] = value
         elif required:
             errors.append(ValidationError(field, "required field is missing"))
-        else:
-            values[field] = default
     if errors:
         raise RequestValidationError(errors)
-    return JobRequest(kind=kind, **values)
+    return JobRequest(kind=kind, options=CoverageOptions(**settings), **values)

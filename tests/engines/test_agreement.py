@@ -49,12 +49,17 @@ class TestEngineRegistry:
 
     def test_symbolic_kwarg_forwarding(self):
         assert get_engine("symbolic", verify_witness=False).verify_witness is False
-        # Generic call sites pass the whole tuning set; the factory filters.
+        # The shared settings leave the engine's own keywords at their defaults.
         assert get_engine("symbolic", max_bound=4).verify_witness is True
 
     def test_unknown_engine_raises(self):
         with pytest.raises(KeyError):
             get_engine("qbf")
+
+    def test_unknown_setting_raises(self):
+        """A keyword no engine takes is an error, never silently dropped."""
+        with pytest.raises(TypeError):
+            get_engine("bmc", bogus=1)
 
     def test_explicit_ignores_bmc_kwargs(self):
         assert isinstance(get_engine("explicit", max_bound=4), ExplicitEngine)

@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.core import CoverageOptions
 from repro.designs import get_design
 from repro.engines import (
     CancelToken,
     Cancelled,
     PortfolioEngine,
     check_cancelled,
+    engine_from_options,
     get_engine,
     using_cancel_token,
 )
+from repro.engines.portfolio import DEFAULT_MEMBERS
 from repro.obs.trace import add_sink, remove_sink
 from repro.runner.cache import ResultCache, using_result_cache
 
@@ -105,6 +108,17 @@ class TestRegistry:
         engine = get_engine("portfolio", max_bound=4, slicing=False)
         assert engine.max_bound == 4
         assert engine.slicing is False
+
+    def test_members_get_every_engine_setting(self):
+        """``--engine portfolio --bdd-reorder`` reaches the symbolic member."""
+        options = CoverageOptions(
+            engine="portfolio", bmc_max_bound=5, slicing=False, bdd_reorder=True
+        )
+        members = engine_from_options(options)._member_engines()
+        assert [member.name for member in members] == list(DEFAULT_MEMBERS)
+        for member in members:
+            settings = (member.max_bound, member.slicing, getattr(member, "bdd_reorder", None))
+            assert settings == (5, False, True), member.name
 
 
 @pytest.mark.parametrize("design", _DESIGNS)

@@ -52,8 +52,12 @@ class TestExpansion:
     def test_engine_options_thread_through(self):
         jobs = expand_jobs(["mal_fig2"], engine="bmc", prop_backend="sat", bound=7)
         assert all(job.engine == "bmc" for job in jobs)
-        assert all(job.prop_backend == "sat" for job in jobs)
-        assert all(job.bound == 7 for job in jobs)
+        assert all(job.options.prop_backend == "sat" for job in jobs)
+        assert all(job.options.bmc_max_bound == 7 for job in jobs)
+
+    def test_settings_the_suite_does_not_take_are_rejected(self):
+        with pytest.raises(TypeError, match="max_witnesses"):
+            expand_jobs(["mal_fig2"], max_witnesses=2)
 
 
 class TestExecution:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import CoverageOptions
 from repro.service import RequestValidationError, validate_request
 from repro.service.validation import MAX_BOUND, MAX_TIMEOUT_SECONDS
 
@@ -24,10 +25,7 @@ def test_minimal_check_request_fills_defaults():
     request = validate_request("check", {"design": "mal_fig2"})
     assert request.kind == "check"
     assert request.design == "mal_fig2"
-    assert request.engine == "explicit"
-    assert request.prop_backend == "auto"
-    assert request.bound == 12
-    assert request.slicing == "auto"
+    assert request.options == CoverageOptions()
     assert request.timeout is None
     assert request.index is None
 
@@ -45,9 +43,10 @@ def test_full_check_request_round_trips():
             "index": 0,
         },
     )
-    assert request.engine == "bmc"
-    assert request.bound == 8
-    assert request.slicing is False
+    assert request.options.engine == "bmc"
+    assert request.options.prop_backend == "auto"
+    assert request.options.bmc_max_bound == 8
+    assert request.options.slicing is False
     assert request.timeout == 30.5
     assert request.index == 0
 

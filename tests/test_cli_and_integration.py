@@ -6,6 +6,7 @@ from repro.cli import build_parser, main
 from repro.core import CoverageOptions, SpecMatcher
 from repro.designs import build_cache_logic, build_masking_glue_fig4
 from repro.ltl import implies
+from repro.service import RequestValidationError, validate_request
 
 
 class TestCLI:
@@ -65,6 +66,24 @@ class TestCLI:
         unsliced = capsys.readouterr().out
         assert "covered  : True" in sliced
         assert "covered  : True" in unsliced
+
+
+    @pytest.mark.parametrize(
+        "field, flag, value, message",
+        [
+            ("depth", "--depth", 0, "must be >= 1, got 0"),
+            ("max_witnesses", "--max-witnesses", -1, "must be >= 0, got -1"),
+        ],
+    )
+    def test_analyze_rejects_what_the_service_rejects(self, field, flag, value, message, capsys):
+        """`--depth 0` unfolds no terms, so it would report only the exact hole."""
+        with pytest.raises(RequestValidationError) as excinfo:
+            validate_request("analyze", {"design": "mal_fig2", field: value})
+        assert excinfo.value.entries() == [{"field": field, "message": message}]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "mal_fig2", flag, str(value)])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 class TestCacheCommand:
